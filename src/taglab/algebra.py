@@ -9,9 +9,9 @@ operations to keep concatenation identities corner-case free.
 
 from __future__ import annotations
 
-from taglab.core import DEFAULT_RULES, Simulator, WordTooShort, check_word
+from taglab.core import DEFAULT_PRODUCTION, WordTooShort, check_word
 
-_SAMPLE_PRODUCTION = str.maketrans({"0": "00", "1": "1101"})
+_SAMPLE_PRODUCTION = str.maketrans(dict(DEFAULT_PRODUCTION))
 
 MIN_PASS_LENGTH = 4
 
@@ -48,11 +48,16 @@ def _require_pass_length(word: str) -> None:
 
 
 def full_pass_simulated(word: str) -> str:
-    """Run the tag step until every symbol of the input has been deleted."""
+    """Run the tag step until every symbol of the input has been deleted.
+
+    One symbol at a time, on purpose: this is the reference that the closed
+    form is checked against.
+    """
     _require_pass_length(word)
-    sim = Simulator(word, DEFAULT_RULES)
-    sim.run_steps(-(-len(word) // 3))
-    return sim.word()
+    check_word(word)
+    for _ in range(-(-len(word) // 3)):
+        word = word[3:] + DEFAULT_PRODUCTION[word[0]]
+    return word
 
 
 def full_pass_algebraic(word: str) -> str:

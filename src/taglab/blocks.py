@@ -19,6 +19,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
+from taglab.core import DEFAULT_PRODUCTION
+
 ALPHABET = frozenset("vuw01")
 
 # canonical symbol order 0 < 1 < u < v < w, realized as a translation so that
@@ -70,6 +72,14 @@ _DFA = (
 # u; v and u are immutable
 _CHOICES = {"0": "0vuw", "1": "1vuw", "w": "wu", "v": "v", "u": "u"}
 
+# _MOVES[symbol][state]: the (choice, next state) pairs the recognizer allows
+_MOVES = {
+    symbol: tuple(
+        tuple((c, _DFA[state][c]) for c in choices if c in _DFA[state]) for state in range(8)
+    )
+    for symbol, choices in _CHOICES.items()
+}
+
 
 def is_row(word: str) -> bool:
     """Membership in the row language, by running the recognizer."""
@@ -94,7 +104,7 @@ def _literals(word: str) -> int:
     return word.count("0") + word.count("1")
 
 
-_EXPAND = str.maketrans({"v": None, "u": None, "w": None, "0": "00", "1": "1101"})
+_EXPAND = str.maketrans({**dict.fromkeys("vuw"), **DEFAULT_PRODUCTION})
 
 
 def expand_literals(word: str) -> str:
@@ -112,34 +122,34 @@ def converting_set(word: str) -> list[str]:
     """
     check_block_word(word)
     n = len(word)
-    viable = [[False] * 8 for _ in range(n + 1)]
-    for state in _ACCEPT:
-        viable[n][state] = True
+    viable = [None] * (n + 1)
+    viable[n] = [state in _ACCEPT for state in range(8)]
     for i in range(n - 1, -1, -1):
         nxt = viable[i + 1]
-        for state in range(8):
-            table = _DFA[state]
-            viable[i][state] = any(
-                nxt[table[c]] for c in _CHOICES[word[i]] if c in table
-            )
+        viable[i] = [any(nxt[t] for _, t in moves) for moves in _MOVES[word[i]]]
     out: list[str] = []
     if not viable[0][_START]:
         return out
     acc: list[str] = []
-
-    def walk(i: int, state: int) -> None:
-        if i == n:
-            out.append("".join(acc))
-            return
-        nxt = viable[i + 1]
-        for c in _CHOICES[word[i]]:
-            target = _DFA[state].get(c)
-            if target is not None and nxt[target]:
-                acc.append(c)
-                walk(i + 1, target)
+    # depth-first, one iterator of untried moves per position on the path, so
+    # the walk needs no recursion however long the word is
+    stack = [iter(_MOVES[word[0]][_START])]
+    while stack:
+        depth = len(stack)
+        nxt = viable[depth]
+        for c, state in stack[-1]:
+            if not nxt[state]:
+                continue
+            if depth == n:
+                out.append("".join(acc) + c)
+                continue
+            acc.append(c)
+            stack.append(iter(_MOVES[word[depth]][state]))
+            break
+        else:
+            stack.pop()
+            if acc:
                 acc.pop()
-
-    walk(0, _START)
     out.sort(key=row_key)
     return out
 

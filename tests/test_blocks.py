@@ -126,6 +126,12 @@ def test_converting_set_can_be_empty_mid_word():
     assert converting_set("vv1v") == []
 
 
+def test_converting_set_of_a_long_word():
+    # 5105 symbols: one frame per symbol would overflow a recursive walk
+    prefix = "1" + "uu1" * 1700
+    assert converting_set(prefix + "1000") == [prefix + "uu0w"]
+
+
 def test_converting_set_matches_brute_force_up_to_length_four():
     for length in range(5):
         for word in map("".join, itertools.product("vuw01", repeat=length)):

@@ -159,6 +159,13 @@ def test_blockset_canonical_order(capsys):
     assert out.splitlines() == ["1uu0w", "v0uu1", "vv1ww"]
 
 
+def test_blockset_long_word(capsys):
+    word = "1" + "uu1" * 400
+    code, out, _ = run_cli(capsys, "blockset", word)
+    assert code == 0
+    assert out == word + "\n"
+
+
 def test_blockset_empty_set(capsys):
     code, out, _ = run_cli(capsys, "blockset", "w1v")
     assert code == 0

@@ -9,9 +9,9 @@ from taglab.core import (
     NotTokenizable,
     OutcomeKind,
     RunOutcome,
-    Simulator,
     TagRules,
     WordTooShort,
+    check_word,
     decode_tokens,
     encode_tokens,
     run,
@@ -19,6 +19,48 @@ from taglab.core import (
 )
 
 binary_words = st.text(alphabet="01")
+
+OTHER_RULES = (
+    TagRules(deletion_number=2, production={"0": "1", "1": "010"}),
+    TagRules(deletion_number=3, production={"0": "", "1": "1101"}),
+)
+
+
+def reference_run(word, rules=DEFAULT_RULES, *, budget, target=None):
+    """Oracle for ``run``: the same Brent schedule, one ``step`` at a time."""
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    check_word(word)
+    if target is not None:
+        check_word(target)
+    saved = word
+    saved_step = 0
+    window = 1
+    steps = 0
+    while True:
+        if target is not None and word == target:
+            return RunOutcome(OutcomeKind.TARGET_REACHED, steps, word)
+        if len(word) < rules.deletion_number:
+            return RunOutcome(OutcomeKind.HALTED, steps, word)
+        if steps == budget:
+            return RunOutcome(OutcomeKind.BUDGET_EXHAUSTED, steps, word)
+        word = step(word, rules)
+        steps += 1
+        if word == saved:
+            return RunOutcome(OutcomeKind.CYCLED, steps, word, cycle_length=steps - saved_step)
+        if steps - saved_step == window:
+            saved = word
+            saved_step = steps
+            window *= 2
+
+
+def orbit_word(word, rules, depth):
+    """The configuration ``depth`` steps after ``word``, or the halted word before it."""
+    for _ in range(depth):
+        if len(word) < rules.deletion_number:
+            break
+        word = step(word, rules)
+    return word
 
 
 def hash_trace_cycle(word, limit=10**6):
@@ -59,9 +101,9 @@ def test_step_respects_custom_rules():
 
 
 def test_ten_thousand_steps_from_b_give_abc():
-    sim = Simulator(words.B)
-    sim.run_steps(10444)
-    assert sim.word() == words.A + words.B + words.C
+    outcome = run(words.B, budget=10444)
+    assert outcome.kind is OutcomeKind.BUDGET_EXHAUSTED
+    assert outcome.final == words.A + words.B + words.C
 
 
 @given(binary_words.filter(lambda w: len(w) >= 3))
@@ -72,28 +114,70 @@ def test_step_length_law(word):
 
 @given(binary_words.filter(lambda w: len(w) >= 3), st.integers(1, 200))
 @settings(max_examples=50, deadline=None)
-def test_simulator_agrees_with_pure_step(word, steps):
-    sim = Simulator(word)
+def test_run_final_agrees_with_pure_step(word, budget):
+    outcome = run(word, budget=budget)
     replay = word
-    taken = 0
-    for _ in range(steps):
-        if len(replay) < 3:
-            break
+    for _ in range(outcome.steps_taken):
         replay = step(replay)
-        sim.step_once()
-        taken += 1
-    assert sim.word() == replay
-    assert sim.length == len(replay)
+    assert outcome.final == replay
 
 
-def test_simulator_compaction_keeps_content():
-    # 20000 steps push the read offset far past the compaction threshold
-    sim = Simulator(words.B)
+def test_run_long_budget_keeps_content():
+    # 20000 steps from B cross many chunks of several hundred steps each
     replay = words.B
     for _ in range(20000):
-        sim.step_once()
         replay = step(replay)
-    assert sim.word() == replay
+    outcome = run(words.B, budget=20000)
+    assert outcome.kind is OutcomeKind.BUDGET_EXHAUSTED
+    assert outcome.final == replay
+
+
+@st.composite
+def run_cases(draw, rules):
+    """A word, a budget and a target: on the word's orbit, perturbed, or arbitrary."""
+    word = draw(st.text(alphabet="01", max_size=80))
+    budget = draw(st.integers(1, 5000))
+    kind = draw(st.sampled_from(["orbit", "refresh", "flipped", "arbitrary", "none"]))
+    if kind == "none":
+        return word, budget, None
+    if kind == "arbitrary":
+        return word, budget, draw(st.text(alphabet="01", max_size=80))
+    if kind == "refresh":
+        # snapshot refreshes happen after 2**e - 1 steps
+        depth = 2 ** draw(st.integers(0, 12)) - 1 + draw(st.integers(-1, 1))
+    else:
+        depth = draw(st.integers(0, budget))
+    target = orbit_word(word, rules, max(depth, 0))
+    if kind == "flipped" and target:
+        i = draw(st.integers(0, len(target) - 1))
+        target = target[:i] + "10"[int(target[i])] + target[i + 1:]
+    return word, budget, target
+
+
+@given(run_cases(DEFAULT_RULES))
+@settings(max_examples=300, deadline=None)
+def test_run_agrees_with_reference_run(case):
+    word, budget, target = case
+    assert run(word, budget=budget, target=target) == reference_run(
+        word, budget=budget, target=target
+    )
+
+
+@pytest.mark.parametrize("rules", OTHER_RULES, ids=["d2-1-010", "d3-empty-1101"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_run_agrees_with_reference_run_under_other_rules(rules, data):
+    word, budget, target = data.draw(run_cases(rules))
+    assert run(word, rules, budget=budget, target=target) == reference_run(
+        word, rules, budget=budget, target=target
+    )
+
+
+def test_run_halts_mid_range_under_empty_production():
+    # 0 -> (nothing) shrinks the word by three per sampled 0
+    rules = OTHER_RULES[1]
+    outcome = run("000000000" + "0", rules, budget=100)
+    assert outcome == RunOutcome(OutcomeKind.HALTED, 3, "0")
 
 
 def test_run_rejects_zero_budget():
