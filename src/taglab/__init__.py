@@ -3,113 +3,10 @@
 Simulates the system exactly at speed, certifies that the embedded family
 A^n B C^m grows forever via a closed chain of full-pass derivations, and
 provides the row-language machinery for searching periodic-evolution
-scaffolds.
+scaffolds.  Each public name lives in its submodule: ``core``, ``algebra``,
+``words``, ``certify`` and ``blocks`` (``cli`` is the command line).
 """
 
-from taglab.algebra import (
-    cut,
-    full_pass_algebraic,
-    full_pass_simulated,
-    length_residue,
-    pass_output,
-)
-from taglab.blocks import (
-    ConditionReport,
-    InvalidSeed,
-    NoExtension,
-    Provenance,
-    SearchHit,
-    SearchResult,
-    check_conditions,
-    converting_set,
-    count,
-    create_initial_blocks,
-    expand_literals,
-    extend_left,
-    extend_right,
-    extension_candidates,
-    is_row,
-    search,
-)
-from taglab.certify import (
-    ChainCertificate,
-    InvariantViolated,
-    Quadruplet,
-    StepCertificate,
-    StepChecks,
-    derive_next,
-    direct_growth_check,
-    instantiate,
-    parse_certificate,
-    reference_vectors,
-    render_certificate,
-    seed_quadruplet,
-    total_pass_iterations,
-    verify_chain,
-)
-from taglab.core import (
-    DEFAULT_RULES,
-    NotTokenizable,
-    OutcomeKind,
-    RunOutcome,
-    TagRules,
-    WordTooShort,
-    decode_tokens,
-    encode_tokens,
-    run,
-    step,
-)
-from taglab.words import A, B, C
+from taglab import algebra, blocks, certify, core, words
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "A",
-    "B",
-    "C",
-    "ChainCertificate",
-    "ConditionReport",
-    "DEFAULT_RULES",
-    "InvalidSeed",
-    "InvariantViolated",
-    "NoExtension",
-    "NotTokenizable",
-    "OutcomeKind",
-    "Provenance",
-    "Quadruplet",
-    "RunOutcome",
-    "SearchHit",
-    "SearchResult",
-    "StepCertificate",
-    "StepChecks",
-    "TagRules",
-    "WordTooShort",
-    "check_conditions",
-    "converting_set",
-    "count",
-    "create_initial_blocks",
-    "cut",
-    "decode_tokens",
-    "derive_next",
-    "direct_growth_check",
-    "encode_tokens",
-    "expand_literals",
-    "extend_left",
-    "extend_right",
-    "extension_candidates",
-    "full_pass_algebraic",
-    "full_pass_simulated",
-    "instantiate",
-    "is_row",
-    "length_residue",
-    "parse_certificate",
-    "pass_output",
-    "reference_vectors",
-    "render_certificate",
-    "run",
-    "search",
-    "seed_quadruplet",
-    "step",
-    "total_pass_iterations",
-    "verify_chain",
-]

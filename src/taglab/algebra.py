@@ -9,9 +9,7 @@ operations to keep concatenation identities corner-case free.
 
 from __future__ import annotations
 
-from taglab.core import DEFAULT_PRODUCTION, WordTooShort, check_word
-
-_SAMPLE_PRODUCTION = str.maketrans(dict(DEFAULT_PRODUCTION))
+from taglab.core import DEFAULT_PRODUCTION, WordTooShort, _expand, check_word
 
 MIN_PASS_LENGTH = 4
 
@@ -37,7 +35,7 @@ def pass_output(word: str) -> str:
     sampled 0 contributes 00.
     """
     check_word(word)
-    return word[::3].translate(_SAMPLE_PRODUCTION)
+    return _expand(word[::3])
 
 
 def _require_pass_length(word: str) -> None:

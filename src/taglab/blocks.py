@@ -15,7 +15,7 @@ bounded search at the bottom of this module looks for.
 from __future__ import annotations
 
 import re
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -90,14 +90,6 @@ def is_row(word: str) -> bool:
         if state is None:
             return False
     return state in _ACCEPT
-
-
-def count(word: str, symbol: str) -> int:
-    """Number of occurrences of ``symbol`` in ``word``."""
-    check_block_word(word)
-    if symbol not in ALPHABET:
-        raise ValueError(f"symbol must be one of v,u,w,0,1, got {symbol!r}")
-    return word.count(symbol)
 
 
 def _literals(word: str) -> int:
@@ -291,17 +283,6 @@ def extend_right(rows: Block, max_suffix: int = 6) -> set[Block]:
     return results
 
 
-def extend_left(rows: Block, max_suffix: int = 6) -> set[Block]:
-    """Left-side extension is not implemented.
-
-    Growing rows leftward would need a different lowering relation: appended
-    prefix symbols shift which positions may still hold v or w, so the
-    converting set as defined here does not apply.  Candidate rows from other
-    sources can always be fed to the simulator's cycle detector directly.
-    """
-    raise NotImplementedError("left extension needs a redefined converting set")
-
-
 @dataclass(frozen=True)
 class Provenance:
     """How a block came to be: its creation seed and extension count."""
@@ -371,16 +352,6 @@ def _closure_dead(rows: Block) -> bool:
     return len(first) == len(last) and first != last
 
 
-def _examine(item: tuple[Block, Provenance], max_suffix: int):
-    rows, provenance = item
-    report = check_conditions(rows, provenance)
-    try:
-        children = extend_right(rows, max_suffix)
-    except NoExtension:
-        children = set()
-    return report, sorted(children, key=block_key)
-
-
 def search(
     max_rows: int,
     budget: int,
@@ -392,9 +363,11 @@ def search(
     Seeds every possible initial block of up to ``max_rows`` rows, then
     repeatedly right-extends.  The budget caps how many blocks are examined;
     duplicates and provably closure-dead blocks are dropped when generated
-    and never consume budget.  Results are canonically ordered and do not
-    depend on the thread count, because each batch of examinations is pure
-    and its outputs are merged in a fixed order.
+    and never consume budget.  Results are canonically ordered.
+
+    ``threads`` must be at least 1 but selects nothing: the search runs in
+    the calling thread, because the examinations are pure Python and a
+    thread pool measured no faster than serial under the interpreter lock.
     """
     if max_rows < 1:
         raise ValueError("max_rows must be at least 1")
@@ -402,7 +375,7 @@ def search(
         raise ValueError("budget must be at least 1")
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    frontier: list[tuple[Block, Provenance]] = []
+    frontier: deque[tuple[Block, Provenance]] = deque()
     seen: set[Block] = set()
     duplicates = 0
     for seed in INITIAL_SEEDS:
@@ -416,32 +389,24 @@ def search(
                     frontier.append((rows, Provenance(seed, 0)))
     hits: dict[Block, SearchHit] = {}
     examined = 0
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        while frontier and examined < budget:
-            batch = frontier[: budget - examined]
-            rest = frontier[len(batch):]
-            examined += len(batch)
-            if pool is None:
-                outcomes = [_examine(item, max_suffix) for item in batch]
-            else:
-                outcomes = list(pool.map(lambda it: _examine(it, max_suffix), batch))
-            grown: list[tuple[Block, Provenance]] = []
-            for (rows, provenance), (report, children) in zip(batch, outcomes):
-                if report.qualifies and rows not in hits:
-                    hits[rows] = SearchHit(rows, provenance, report)
-                child_provenance = Provenance(provenance.seed, provenance.extensions + 1)
-                for child in children:
-                    if child in seen:
-                        duplicates += 1
-                        continue
-                    seen.add(child)
-                    if not _closure_dead(child):
-                        grown.append((child, child_provenance))
-            frontier = rest + grown
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    while frontier and examined < budget:
+        rows, provenance = frontier.popleft()
+        examined += 1
+        report = check_conditions(rows, provenance)
+        if report.qualifies and rows not in hits:
+            hits[rows] = SearchHit(rows, provenance, report)
+        try:
+            children = extend_right(rows, max_suffix)
+        except NoExtension:
+            children = set()
+        child_provenance = Provenance(provenance.seed, provenance.extensions + 1)
+        for child in sorted(children, key=block_key):
+            if child in seen:
+                duplicates += 1
+                continue
+            seen.add(child)
+            if not _closure_dead(child):
+                frontier.append((child, child_provenance))
     ordered = tuple(sorted(hits.values(), key=lambda hit: block_key(hit.rows)))
     return SearchResult(ordered, examined, duplicates, exhausted=not frontier)
 

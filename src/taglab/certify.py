@@ -20,7 +20,7 @@ from functools import cache
 
 from taglab import words
 from taglab.algebra import cut, length_residue, pass_output
-from taglab.core import DEFAULT_RULES, RunOutcome, check_word, decode_tokens, run
+from taglab.core import RunOutcome, check_word, decode_tokens, run
 
 DOCUMENT_VERSION = "1"
 
@@ -166,7 +166,7 @@ def direct_growth_check(n: int, m: int, budget: int = 200_000) -> RunOutcome:
     """Simulate A^n B C^m until it literally becomes A^(n+1) B C^(m+1)."""
     start = words.A * n + words.B + words.C * m
     target = words.A * (n + 1) + words.B + words.C * (m + 1)
-    return run(start, DEFAULT_RULES, budget=budget, target=target)
+    return run(start, budget=budget, target=target)
 
 
 @cache

@@ -60,7 +60,7 @@ def _cmd_simulate(args) -> int:
         target = core.check_word(_read_word(args.target)) if args.target else None
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
-    outcome = core.run(word, core.DEFAULT_RULES, budget=args.budget, target=target)
+    outcome = core.run(word, budget=args.budget, target=target)
     fields = [outcome.kind.value, str(outcome.steps_taken), str(len(outcome.final))]
     if outcome.cycle_length is not None:
         fields.append(str(outcome.cycle_length))
@@ -121,7 +121,10 @@ def _cmd_verify_omega(args) -> int:
         return EXIT_VERIFY
     document = certify.render_certificate(chain)
     if args.emit is not None:
-        Path(args.emit).write_text(document, "ascii")
+        try:
+            Path(args.emit).write_text(document, "ascii")
+        except OSError as exc:
+            return _fail(str(exc))
     else:
         sys.stdout.write(document)
     problems = certify.certificate_problems(chain)
@@ -146,7 +149,10 @@ def _cmd_block_search(args) -> int:
     result = blocks.search(args.max_rows, args.budget, args.threads, args.max_suffix)
     document = blocks.render_search_results(result, args.max_rows, args.budget, args.max_suffix)
     if args.out is not None:
-        Path(args.out).write_text(document, "ascii")
+        try:
+            Path(args.out).write_text(document, "ascii")
+        except OSError as exc:
+            return _fail(str(exc))
     else:
         sys.stdout.write(document)
     return EXIT_OK
@@ -196,7 +202,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("block-search", help="search for qualifying building blocks")
     p.add_argument("max_rows", type=_positive)
     p.add_argument("budget", type=_positive)
-    p.add_argument("threads", type=_positive)
+    p.add_argument("threads", type=_positive,
+                   help="worker count, at least 1; accepted, but the search is single-threaded")
     p.add_argument("--max-suffix", type=_positive, default=4)
     p.add_argument("--out", metavar="PATH", help="write the result document here")
     p.set_defaults(func=_cmd_block_search)

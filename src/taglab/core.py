@@ -1,14 +1,14 @@
-"""Simulation engine for Post-style tag systems.
+"""Simulation engine for the tag system {N=3, 0 -> 00, 1 -> 1101}.
 
-The default system appends 00 for a leading 0 and 1101 for a leading 1, then
-deletes three symbols.  Words are plain strings over {0,1}; all public
-operations are pure.  ``step`` applies one transformation; ``run`` iterates
-in closed form: while ``k <= len(w) // d`` steps read only symbols of ``w``
-itself, they turn ``w`` into ``w[d*k:]`` followed by the productions of the
-sampled symbols ``w[0:d*k:d]``, which is one slice, one expansion of the
-sample and one concatenation.  Each sampled symbol changes the word length
-by the fixed amount ``len(production) - d``, so a chunk can only pass
-through a given word at the steps where its running length equals that
+Each step appends 00 for a leading 0 and 1101 for a leading 1, then deletes
+three symbols.  Words are plain strings over {0,1}; all public operations are
+pure.  ``step`` applies one transformation; ``run`` iterates in closed form:
+while ``k <= len(w) // 3`` steps read only symbols of ``w`` itself, they turn
+``w`` into ``w[3*k:]`` followed by the productions of the sampled symbols
+``w[0:3*k:3]``, which is one slice, one expansion of the sample and one
+concatenation.  Each sampled symbol changes the word length by the fixed
+amount ``len(production) - 3`` (-1 for a 0, +1 for a 1), so a chunk can only
+pass through a given word at the steps where its running length equals that
 word's length; those steps alone are compared, which keeps target and cycle
 detection exact.
 """
@@ -43,26 +43,20 @@ def check_word(word: str) -> str:
 
 DEFAULT_PRODUCTION: Mapping[str, str] = MappingProxyType({"0": "00", "1": "1101"})
 
-
-@dataclass(frozen=True)
-class TagRules:
-    """A deletion count plus the production appended for each leading symbol."""
-
-    deletion_number: int = 3
-    production: Mapping[str, str] = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.production is None:
-            object.__setattr__(self, "production", DEFAULT_PRODUCTION)
-        if self.deletion_number < 1:
-            raise ValueError("deletion number must be at least 1")
-        for sym in "01":
-            if sym not in self.production:
-                raise ValueError(f"production rule missing for {sym!r}")
-            check_word(self.production[sym])
+_ZERO, _ONE = DEFAULT_PRODUCTION["0"], DEFAULT_PRODUCTION["1"]
+# Length change per sampled symbol, and its largest size.
+_DELTAS = {symbol: len(production) - 3 for symbol, production in DEFAULT_PRODUCTION.items()}
+_SPREAD = max(map(abs, _DELTAS.values()))
 
 
-DEFAULT_RULES = TagRules()
+def _expand(sample: str) -> str:
+    """The productions of the symbols of the binary word ``sample``, in order.
+
+    The one expansion of sampled symbols, for ``run`` and ``algebra.pass_output``.
+    """
+    # Three replaces are plain copies, several times faster than a translate
+    # whose table maps one symbol to many; 2 parks the zeros.
+    return sample.replace("0", "2").replace("1", _ONE).replace("2", _ZERO)
 
 
 class OutcomeKind(enum.Enum):
@@ -84,33 +78,24 @@ class RunOutcome:
             raise ValueError("cycle_length is present exactly when the run cycled")
 
 
-def step(word: str, rules: TagRules = DEFAULT_RULES) -> str:
+def step(word: str) -> str:
     """One tag transformation: append the first symbol's production, delete the front."""
     check_word(word)
-    if len(word) < rules.deletion_number:
-        raise WordTooShort(f"length {len(word)} < deletion number {rules.deletion_number}")
-    return word[rules.deletion_number:] + rules.production[word[0]]
+    if len(word) < 3:
+        raise WordTooShort(f"length {len(word)} < deletion number 3")
+    return word[3:] + DEFAULT_PRODUCTION[word[0]]
 
-
-def _chunk_tables(rules: TagRules) -> tuple[str, str, dict, int]:
-    """Both productions, the length change per sampled symbol, its largest size."""
-    zero, one = rules.production["0"], rules.production["1"]
-    deltas = {"0": len(zero) - rules.deletion_number, "1": len(one) - rules.deletion_number}
-    return zero, one, deltas, max(map(abs, deltas.values()))
-
-
-_DEFAULT_TABLES = _chunk_tables(DEFAULT_RULES)
 
 # Symbols compared before a candidate configuration is built in full.
 _PREFIX = 32
 
 
-def _first_match(word, expanded, lengths, d, other, hi):
+def _first_match(word, expanded, lengths, other, hi):
     """The first ``j`` in 1..hi at which the chunk of ``word`` equals ``other``.
 
     ``lengths[j]`` is the word length after ``j`` steps of the chunk, so only
     the steps where it equals ``len(other)`` can match; the symbols appended
-    by then are the first ``lengths[j] - len(word) + d * j`` of ``expanded``.
+    by then are the first ``lengths[j] - len(word) + 3 * j`` of ``expanded``.
     Returns ``(j, word after j steps)``, or ``None``.
     """
     size = len(other)
@@ -120,20 +105,14 @@ def _first_match(word, expanded, lengths, d, other, hi):
             j = lengths.index(size, j + 1, hi + 1)
         except ValueError:
             return None
-        start = d * j
+        start = 3 * j
         if other.startswith(word[start:start + _PREFIX]):
             moved = word[start:] + expanded[:size - len(word) + start]
             if moved == other:
                 return j, moved
 
 
-def run(
-    word: str,
-    rules: TagRules = DEFAULT_RULES,
-    *,
-    budget: int,
-    target: Optional[str] = None,
-) -> RunOutcome:
+def run(word: str, *, budget: int, target: Optional[str] = None) -> RunOutcome:
     """Iterate the tag step until halt, repeat, target, or budget exhaustion.
 
     Repeats are found with constant extra memory: the live configuration is
@@ -147,8 +126,6 @@ def run(
     check_word(word)
     if target is not None:
         check_word(target)
-    d = rules.deletion_number
-    zero, one, deltas, spread = _DEFAULT_TABLES if rules is DEFAULT_RULES else _chunk_tables(rules)
     target_size = -1 if target is None else len(target)
     saved = word
     saved_step = 0
@@ -158,32 +135,30 @@ def run(
         size = len(word)
         if size == target_size and word == target:
             return RunOutcome(OutcomeKind.TARGET_REACHED, steps, word)
-        if size < d:
+        if size < 3:
             return RunOutcome(OutcomeKind.HALTED, steps, word)
         if steps == budget:
             return RunOutcome(OutcomeKind.BUDGET_EXHAUSTED, steps, word)
-        k = min(size // d, budget - steps, saved_step + window - steps)
-        sampled = word[0:d * k:d]
-        # Three replaces are plain copies, several times faster than a
-        # translate whose table maps one symbol to many; 2 parks the zeros.
-        expanded = sampled.replace("0", "2").replace("1", one).replace("2", zero)
-        reach = k * spread
+        k = min(size // 3, budget - steps, saved_step + window - steps)
+        sampled = word[0:3 * k:3]
+        expanded = _expand(sampled)
+        reach = k * _SPREAD
         near_saved = abs(size - len(saved)) <= reach
         near_target = target is not None and abs(size - target_size) <= reach
         if near_saved or near_target:
-            lengths = list(accumulate(map(deltas.__getitem__, sampled), initial=size))
+            lengths = list(accumulate(map(_DELTAS.__getitem__, sampled), initial=size))
             # The target check after the chunk's last step opens the next turn.
             # A target found here always precedes a repeat: every word after
             # the snapshot repeats one that was already compared with it.
-            reached = near_target and _first_match(word, expanded, lengths, d, target, k - 1)
+            reached = near_target and _first_match(word, expanded, lengths, target, k - 1)
             if reached:
                 return RunOutcome(OutcomeKind.TARGET_REACHED, steps + reached[0], reached[1])
-            cycled = near_saved and _first_match(word, expanded, lengths, d, saved, k)
+            cycled = near_saved and _first_match(word, expanded, lengths, saved, k)
             if cycled:
                 j, moved = cycled
                 return RunOutcome(OutcomeKind.CYCLED, steps + j, moved,
                                   cycle_length=steps + j - saved_step)
-        word = word[d * k:] + expanded
+        word = word[3 * k:] + expanded
         steps += k
         if steps - saved_step == window:
             saved = word
@@ -191,7 +166,7 @@ def run(
             window *= 2
 
 
-_TOKEN_EXPANSION = {"Z": DEFAULT_PRODUCTION["0"], "O": DEFAULT_PRODUCTION["1"]}
+_TOKEN_EXPANSION = {"Z": _ZERO, "O": _ONE}
 
 
 def encode_tokens(word: str) -> str:

@@ -14,10 +14,8 @@ from taglab.blocks import (
     block_key,
     check_conditions,
     converting_set,
-    count,
     create_initial_blocks,
     expand_literals,
-    extend_left,
     extend_right,
     extension_candidates,
     is_row,
@@ -150,17 +148,6 @@ def test_converting_set_members_stay_in_language(word):
             assert replaced in CHOICES[original]
 
 
-def test_count_examples():
-    assert count("vv0w", "v") == 2
-    assert count("1uu1uu0w", "0") + count("1uu1uu0w", "1") == 3
-    assert count("", "w") == 0
-
-
-def test_count_validates_symbol():
-    with pytest.raises(ValueError):
-        count("vv0w", "x")
-
-
 def test_expand_literals_examples():
     assert expand_literals("1uu1") == "11011101"
     assert expand_literals("v0uu0w") == "0000"
@@ -235,11 +222,6 @@ def test_extension_validates_rows():
         extend_right(("w1v",))
     with pytest.raises(ValueError):
         extend_right(())
-
-
-def test_left_extension_is_a_documented_stub():
-    with pytest.raises(NotImplementedError):
-        extend_left(("v1w", "1uu1"))
 
 
 def test_extension_never_rewrites_last_row():

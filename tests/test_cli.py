@@ -1,6 +1,10 @@
 """Command-line interface: output formats, exit codes, document round trips."""
 
+import contextlib
+import io
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from taglab import words
 from taglab.cli import main
@@ -186,6 +190,19 @@ def test_block_search_documents_identical_across_workers(tmp_path, capsys):
     assert one.read_bytes() == eight.read_bytes()
 
 
+def test_verify_omega_emit_to_missing_directory(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "verify-omega", "--emit", str(tmp_path / "no" / "x.txt"))
+    assert code == 1
+    assert err.startswith("error: ")
+
+
+def test_block_search_out_to_missing_directory(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "block-search", "1", "1", "1",
+                           "--out", str(tmp_path / "no" / "x.txt"))
+    assert code == 1
+    assert err.startswith("error: ")
+
+
 def test_block_search_document_structure(capsys):
     code, out, _ = run_cli(capsys, "block-search", "2", "50", "1")
     assert code == 0
@@ -214,3 +231,66 @@ def test_decode_rejects_untokenizable_word(capsys):
     code, _, err = run_cli(capsys, "decode", "010")
     assert code == 1
     assert "error" in err
+
+
+# Argv fuzzing: numbers stay small (rows <= 2, budgets <= 50) so each
+# command line runs in milliseconds.
+small_ints = st.one_of(st.integers(-1, 2).map(str), st.sampled_from(["", "x"]))
+
+
+def option(name, values):
+    return st.one_of(st.just([]), values.map(lambda value: [name, value]))
+
+
+def flag(name):
+    return st.sampled_from([[], [name]])
+
+
+@st.composite
+def cli_argv(draw, missing):
+    """A random command line for one subcommand, valid or not.
+
+    ``missing`` is a path under a directory that does not exist; "@" alone
+    names the working directory.
+    """
+    word_args = st.one_of(st.text(alphabet="01ZOvuwx@", max_size=12),
+                          st.sampled_from(["@", "@" + missing]))
+    paths = st.sampled_from(["", missing])
+    command = draw(st.sampled_from(
+        ["simulate", "verify-theorem", "verify-omega", "blockset", "block-search", "decode"]))
+    if command == "simulate":
+        argv = ["--word", draw(word_args), "--budget", draw(st.integers(-1, 50).map(str))]
+        argv += draw(option("--target", word_args))
+    elif command == "verify-theorem":
+        argv = [draw(small_ints), draw(small_ints), draw(st.integers(-1, 50).map(str))]
+    elif command == "verify-omega":
+        argv = draw(option("--emit", paths)) + draw(option("--check", paths))
+        argv += draw(option("--seed-x", small_ints))
+        argv += draw(option("--flip-a", st.integers(-1, 20).map(str)))
+    elif command == "blockset":
+        argv = [draw(word_args)]
+    elif command == "block-search":
+        argv = [draw(small_ints), draw(st.integers(-1, 20).map(str)), draw(small_ints)]
+        argv += draw(option("--max-suffix", small_ints)) + draw(option("--out", paths))
+    else:
+        argv = [draw(word_args)] + draw(flag("--to-tokens"))
+    return [command] + argv + draw(flag("--bogus"))
+
+
+@pytest.fixture(scope="module")
+def missing_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("cli") / "no" / "x.txt")
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_random_command_lines_exit_cleanly(missing_path, data):
+    argv = data.draw(cli_argv(missing_path))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

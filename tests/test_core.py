@@ -5,11 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from taglab import words
 from taglab.core import (
-    DEFAULT_RULES,
     NotTokenizable,
     OutcomeKind,
     RunOutcome,
-    TagRules,
     WordTooShort,
     check_word,
     decode_tokens,
@@ -20,13 +18,8 @@ from taglab.core import (
 
 binary_words = st.text(alphabet="01")
 
-OTHER_RULES = (
-    TagRules(deletion_number=2, production={"0": "1", "1": "010"}),
-    TagRules(deletion_number=3, production={"0": "", "1": "1101"}),
-)
 
-
-def reference_run(word, rules=DEFAULT_RULES, *, budget, target=None):
+def reference_run(word, *, budget, target=None):
     """Oracle for ``run``: the same Brent schedule, one ``step`` at a time."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -40,11 +33,11 @@ def reference_run(word, rules=DEFAULT_RULES, *, budget, target=None):
     while True:
         if target is not None and word == target:
             return RunOutcome(OutcomeKind.TARGET_REACHED, steps, word)
-        if len(word) < rules.deletion_number:
+        if len(word) < 3:
             return RunOutcome(OutcomeKind.HALTED, steps, word)
         if steps == budget:
             return RunOutcome(OutcomeKind.BUDGET_EXHAUSTED, steps, word)
-        word = step(word, rules)
+        word = step(word)
         steps += 1
         if word == saved:
             return RunOutcome(OutcomeKind.CYCLED, steps, word, cycle_length=steps - saved_step)
@@ -54,12 +47,12 @@ def reference_run(word, rules=DEFAULT_RULES, *, budget, target=None):
             window *= 2
 
 
-def orbit_word(word, rules, depth):
+def orbit_word(word, depth):
     """The configuration ``depth`` steps after ``word``, or the halted word before it."""
     for _ in range(depth):
-        if len(word) < rules.deletion_number:
+        if len(word) < 3:
             break
-        word = step(word, rules)
+        word = step(word)
     return word
 
 
@@ -92,12 +85,6 @@ def test_step_requires_three_symbols():
 def test_step_rejects_non_binary():
     with pytest.raises(ValueError):
         step("0a0")
-
-
-def test_step_respects_custom_rules():
-    rules = TagRules(deletion_number=2, production={"0": "1", "1": "010"})
-    assert step("001", rules) == "11"
-    assert step("10", rules) == "010"
 
 
 def test_ten_thousand_steps_from_b_give_abc():
@@ -133,7 +120,7 @@ def test_run_long_budget_keeps_content():
 
 
 @st.composite
-def run_cases(draw, rules):
+def run_cases(draw):
     """A word, a budget and a target: on the word's orbit, perturbed, or arbitrary."""
     word = draw(st.text(alphabet="01", max_size=80))
     budget = draw(st.integers(1, 5000))
@@ -147,37 +134,20 @@ def run_cases(draw, rules):
         depth = 2 ** draw(st.integers(0, 12)) - 1 + draw(st.integers(-1, 1))
     else:
         depth = draw(st.integers(0, budget))
-    target = orbit_word(word, rules, max(depth, 0))
+    target = orbit_word(word, max(depth, 0))
     if kind == "flipped" and target:
         i = draw(st.integers(0, len(target) - 1))
         target = target[:i] + "10"[int(target[i])] + target[i + 1:]
     return word, budget, target
 
 
-@given(run_cases(DEFAULT_RULES))
+@given(run_cases())
 @settings(max_examples=300, deadline=None)
 def test_run_agrees_with_reference_run(case):
     word, budget, target = case
     assert run(word, budget=budget, target=target) == reference_run(
         word, budget=budget, target=target
     )
-
-
-@pytest.mark.parametrize("rules", OTHER_RULES, ids=["d2-1-010", "d3-empty-1101"])
-@given(data=st.data())
-@settings(max_examples=150, deadline=None)
-def test_run_agrees_with_reference_run_under_other_rules(rules, data):
-    word, budget, target = data.draw(run_cases(rules))
-    assert run(word, rules, budget=budget, target=target) == reference_run(
-        word, rules, budget=budget, target=target
-    )
-
-
-def test_run_halts_mid_range_under_empty_production():
-    # 0 -> (nothing) shrinks the word by three per sampled 0
-    rules = OTHER_RULES[1]
-    outcome = run("000000000" + "0", rules, budget=100)
-    assert outcome == RunOutcome(OutcomeKind.HALTED, 3, "0")
 
 
 def test_run_rejects_zero_budget():
@@ -286,12 +256,3 @@ def test_token_round_trip_from_tokens(tokens):
 def test_token_round_trip_from_words(tokens):
     word = decode_tokens(tokens)
     assert decode_tokens(encode_tokens(word)) == word
-
-
-def test_tag_rules_validation():
-    with pytest.raises(ValueError):
-        TagRules(deletion_number=0)
-    with pytest.raises(ValueError):
-        TagRules(production={"0": "00"})
-    with pytest.raises(ValueError):
-        TagRules(production={"0": "00", "1": "12"})
