@@ -14,6 +14,7 @@ bounded search at the bottom of this module looks for.
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -111,17 +112,26 @@ def converting_set(word: str) -> list[str]:
     Computed by intersecting the positionwise choice lattice with the
     recognizer: a backward pass marks which (position, state) pairs can still
     reach acceptance, then a forward walk emits exactly the surviving words.
+    Results are memoised for the life of the process; each call returns a
+    fresh list.
     """
     check_block_word(word)
+    return list(_lowerings(word))
+
+
+# Cached, like _candidates below: both are pure functions of their
+# arguments, and the block census asks for each word about 29 times.
+@functools.lru_cache(maxsize=None)
+def _lowerings(word: str) -> tuple[str, ...]:
     n = len(word)
     viable = [None] * (n + 1)
     viable[n] = [state in _ACCEPT for state in range(8)]
     for i in range(n - 1, -1, -1):
         nxt = viable[i + 1]
         viable[i] = [any(nxt[t] for _, t in moves) for moves in _MOVES[word[i]]]
-    out: list[str] = []
     if not viable[0][_START]:
-        return out
+        return ()
+    out: list[str] = []
     acc: list[str] = []
     # depth-first, one iterator of untried moves per position on the path, so
     # the walk needs no recursion however long the word is
@@ -143,7 +153,7 @@ def converting_set(word: str) -> list[str]:
             if acc:
                 acc.pop()
     out.sort(key=row_key)
-    return out
+    return tuple(out)
 
 
 _SEED = re.compile(r"v{0,2}[01]w{0,2}")
@@ -203,12 +213,18 @@ def extension_candidates(row: str, max_suffix: int = 6) -> list[str]:
     A suffix qualifies when the converting set of row + suffix is a singleton
     whose literal count exceeds the original row's by exactly one.  The walk
     tracks how many lowerings reach each recognizer state, so whole suffix
-    subtrees with no surviving lowering are skipped.
+    subtrees with no surviving lowering are skipped.  Results are memoised
+    for the life of the process; each call returns a fresh list.
     """
     if not is_row(row):
         raise ValueError(f"not a member of the row language: {row!r}")
     if max_suffix < 1:
         raise ValueError("max_suffix must be at least 1")
+    return list(_candidates(row, max_suffix))
+
+
+@functools.lru_cache(maxsize=None)
+def _candidates(row: str, max_suffix: int) -> tuple[str, ...]:
     counts = [0] * 8
     counts[_START] = 1
     for symbol in row:
@@ -231,7 +247,7 @@ def extension_candidates(row: str, max_suffix: int = 6) -> list[str]:
 
     walk(counts, "")
     found.sort(key=row_key)
-    return found
+    return tuple(found)
 
 
 def validate_block(rows: Block) -> Block:

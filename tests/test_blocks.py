@@ -1,5 +1,6 @@
 """Row language, converting sets, block construction, and the bounded search."""
 
+import hashlib
 import itertools
 import re
 
@@ -146,6 +147,23 @@ def test_converting_set_members_stay_in_language(word):
         assert is_row(member)
         for original, replaced in zip(word, member):
             assert replaced in CHOICES[original]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: converting_set("0000"), lambda: extension_candidates("1uu1", 3)],
+    ids=["converting_set", "extension_candidates"],
+)
+def test_cached_results_are_fresh_lists(call):
+    expected = list(call())
+    assert len(expected) > 1
+    assert expected == sorted(expected, key=row_key)
+    for mutate in (list.clear, lambda xs: xs.append("0"), list.reverse):
+        returned = call()
+        mutate(returned)
+        again = call()
+        assert again is not returned
+        assert again == expected
 
 
 def test_expand_literals_examples():
@@ -354,3 +372,24 @@ def test_search_document_rendering(exhaustive_search):
     for hit in exhaustive_search.hits:
         for row in hit.rows:
             assert row in lines
+
+
+@pytest.mark.parametrize(
+    "max_suffix, digest, examined, duplicates, found",
+    [
+        (3, "c73f544ae8ffe965cbeaa36f9af725540fb5df65c304f5bfea5aa0a9396a8ae3", 738, 1149, 2),
+        (4, "b21f5259eb5ec5d57f4b337153b6d1d0b3eaf7f591c5a712cd29bbf170b623be", 1068, 2274, 2),
+    ],
+)
+def test_census_documents_are_pinned(max_suffix, digest, examined, duplicates, found):
+    result = search(4, 2000, threads=1, max_suffix=max_suffix)
+    assert result.exhausted
+    assert (result.examined, result.skipped_duplicates, len(result.hits)) == (
+        examined,
+        duplicates,
+        found,
+    )
+    # every hit also carries creation provenance, so all four conditions hold
+    assert all(value for hit in result.hits for _, value in hit.report.items())
+    doc = render_search_results(result, 4, 2000, max_suffix)
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
