@@ -15,6 +15,7 @@ bounded search at the bottom of this module looks for.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -54,43 +55,13 @@ def block_key(rows: Block) -> tuple[str, ...]:
     return tuple(row.translate(_CANON) for row in rows)
 
 
-# Deterministic recognizer for {ε,v,vv}{0,1}{uu0,uu1}*{ε,w,ww}: states are
-# start, one v, two v, after a literal, one u, two u, one w, two w.
-_START, _V1, _V2, _LIT, _U1, _U2, _W1, _W2 = range(8)
-_ACCEPT = (_LIT, _W1, _W2)
-_DFA = (
-    {"v": _V1, "0": _LIT, "1": _LIT},
-    {"v": _V2, "0": _LIT, "1": _LIT},
-    {"0": _LIT, "1": _LIT},
-    {"u": _U1, "w": _W1},
-    {"u": _U2},
-    {"0": _LIT, "1": _LIT},
-    {"w": _W2},
-    {},
-)
-
-# positionwise lowering choices: literals may become v, u or w; w may become
-# u; v and u are immutable
-_CHOICES = {"0": "0vuw", "1": "1vuw", "w": "wu", "v": "v", "u": "u"}
-
-# _MOVES[symbol][state]: the (choice, next state) pairs the recognizer allows
-_MOVES = {
-    symbol: tuple(
-        tuple((c, _DFA[state][c]) for c in choices if c in _DFA[state]) for state in range(8)
-    )
-    for symbol, choices in _CHOICES.items()
-}
+_ROW = re.compile(r"v{0,2}[01](uu[01])*w{0,2}")
 
 
 def is_row(word: str) -> bool:
-    """Membership in the row language, by running the recognizer."""
+    """Membership in the row language."""
     check_block_word(word)
-    state = _START
-    for symbol in word:
-        state = _DFA[state].get(symbol)
-        if state is None:
-            return False
-    return state in _ACCEPT
+    return _ROW.fullmatch(word) is not None
 
 
 def _literals(word: str) -> int:
@@ -109,11 +80,12 @@ def expand_literals(word: str) -> str:
 def converting_set(word: str) -> list[str]:
     """All lowerings of ``word`` inside the row language, canonically sorted.
 
-    Computed by intersecting the positionwise choice lattice with the
-    recognizer: a backward pass marks which (position, state) pairs can still
-    reach acceptance, then a forward walk emits exactly the surviving words.
-    Results are memoised for the life of the process; each call returns a
-    fresh list.
+    A row is v^p L (uu L)* w^q with p, q <= 2 and L a literal, so each shape
+    (p, q) whose middle has length 1 mod 3 admits at most one lowering: the
+    first p symbols become v, every third middle symbol stays a literal, the
+    symbols between become u, and the last q symbols become w.  At most three
+    shapes fit the length, so the set has at most three members.  Results
+    are memoised for the life of the process; each call returns a fresh list.
     """
     check_block_word(word)
     return list(_lowerings(word))
@@ -124,34 +96,19 @@ def converting_set(word: str) -> list[str]:
 @functools.lru_cache(maxsize=None)
 def _lowerings(word: str) -> tuple[str, ...]:
     n = len(word)
-    viable = [None] * (n + 1)
-    viable[n] = [state in _ACCEPT for state in range(8)]
-    for i in range(n - 1, -1, -1):
-        nxt = viable[i + 1]
-        viable[i] = [any(nxt[t] for _, t in moves) for moves in _MOVES[word[i]]]
-    if not viable[0][_START]:
-        return ()
     out: list[str] = []
-    acc: list[str] = []
-    # depth-first, one iterator of untried moves per position on the path, so
-    # the walk needs no recursion however long the word is
-    stack = [iter(_MOVES[word[0]][_START])]
-    while stack:
-        depth = len(stack)
-        nxt = viable[depth]
-        for c, state in stack[-1]:
-            if not nxt[state]:
-                continue
-            if depth == n:
-                out.append("".join(acc) + c)
-                continue
-            acc.append(c)
-            stack.append(iter(_MOVES[word[depth]][state]))
+    for p in range(3):
+        head = word[:p]
+        if "u" in head or "w" in head:
             break
-        else:
-            stack.pop()
-            if acc:
-                acc.pop()
+        for q in range(3):
+            if n - p - q < 1 or (n - p - q) % 3 != 1:
+                continue
+            core, tail = word[p:n - q], word[n - q:]
+            literals = core[::3]
+            if "v" in core or "u" in literals or "w" in literals or "u" in tail or "v" in tail:
+                continue
+            out.append("v" * p + "uu".join(literals) + "w" * q)
     out.sort(key=row_key)
     return tuple(out)
 
@@ -195,26 +152,13 @@ def create_initial_blocks(seed: str, depth: int) -> set[Block]:
     return results
 
 
-def _advance(counts: list[int], choices: str) -> list[int]:
-    new = [0] * 8
-    for state, k in enumerate(counts):
-        if k:
-            table = _DFA[state]
-            for c in choices:
-                target = table.get(c)
-                if target is not None:
-                    new[target] += k
-    return new
-
-
-def extension_candidates(row: str, max_suffix: int = 6) -> list[str]:
+def extension_candidates(row: str, max_suffix: int) -> list[str]:
     """Suffixes whose append leaves exactly one lowering, one literal richer.
 
     A suffix qualifies when the converting set of row + suffix is a singleton
-    whose literal count exceeds the original row's by exactly one.  The walk
-    tracks how many lowerings reach each recognizer state, so whole suffix
-    subtrees with no surviving lowering are skipped.  Results are memoised
-    for the life of the process; each call returns a fresh list.
+    whose literal count exceeds the original row's by exactly one.  Suffixes
+    are tried in full up to the longest length that can qualify.  Results
+    are memoised for the life of the process; each call returns a fresh list.
     """
     if not is_row(row):
         raise ValueError(f"not a member of the row language: {row!r}")
@@ -225,27 +169,20 @@ def extension_candidates(row: str, max_suffix: int = 6) -> list[str]:
 
 @functools.lru_cache(maxsize=None)
 def _candidates(row: str, max_suffix: int) -> tuple[str, ...]:
-    counts = [0] * 8
-    counts[_START] = 1
-    for symbol in row:
-        counts = _advance(counts, _CHOICES[symbol])
+    # A lowering of shape (p, q) keeps (len - p - q + 2) / 3 literals, so one
+    # literal more than the row, whose shape is (a, b), needs a suffix of
+    # exactly 3 + p + q - a - b <= 7 - a - b symbols.
+    a = len(row) - len(row.lstrip("v"))
+    b = len(row) - len(row.rstrip("w"))
     base = _literals(row)
+    # uncached, so the cache keeps only the words the search itself asks about
+    lowerings = _lowerings.__wrapped__
     found: list[str] = []
-
-    def walk(counts: list[int], suffix: str) -> None:
-        if suffix:
-            if sum(counts[s] for s in _ACCEPT) == 1:
-                (only,) = converting_set(row + suffix)
-                if _literals(only) - base == 1:
-                    found.append(suffix)
-        if len(suffix) == max_suffix:
-            return
-        for symbol in "01uvw":
-            advanced = _advance(counts, _CHOICES[symbol])
-            if any(advanced):
-                walk(advanced, suffix + symbol)
-
-    walk(counts, "")
+    for length in range(1, min(max_suffix, 7 - a - b) + 1):
+        for suffix in map("".join, itertools.product("01uvw", repeat=length)):
+            members = lowerings(row + suffix)
+            if len(members) == 1 and _literals(members[0]) == base + 1:
+                found.append(suffix)
     found.sort(key=row_key)
     return tuple(found)
 
@@ -259,7 +196,7 @@ def validate_block(rows: Block) -> Block:
     return rows
 
 
-def extend_right(rows: Block, max_suffix: int = 6) -> set[Block]:
+def extend_right(rows: Block, max_suffix: int) -> set[Block]:
     """Every block the right-extension procedure can rewrite ``rows`` into.
 
     For each qualifying first-row suffix the procedure walks down the block:

@@ -137,8 +137,8 @@ def _cmd_verify_omega(args) -> int:
 
 def _cmd_blockset(args) -> int:
     try:
-        members = blocks.converting_set(args.word)
-    except ValueError as exc:
+        members = blocks.converting_set(_read_word(args.word))
+    except (OSError, ValueError) as exc:
         return _fail(str(exc))
     for member in members:
         print(member)

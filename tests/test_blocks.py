@@ -28,7 +28,28 @@ from taglab.blocks import (
 ROW_LANGUAGE = re.compile(r"v{0,2}[01](uu[01])*w{0,2}")
 CHOICES = {"0": "0vuw", "1": "1vuw", "w": "wu", "v": "v", "u": "u"}
 
+# the inverse of CHOICES: RAISES[s] holds every symbol a lowering turns into s
+RAISES = {"v": "01v", "u": "01wu", "w": "01w", "0": "0", "1": "1"}
+
 block_words = st.text(alphabet="vuw01", max_size=9)
+
+
+@st.composite
+def language_rows(draw, max_literals):
+    literals = draw(st.lists(st.sampled_from("01"), min_size=1, max_size=max_literals))
+    return "v" * draw(st.integers(0, 2)) + "uu".join(literals) + "w" * draw(st.integers(0, 2))
+
+
+@st.composite
+def raised_rows(draw):
+    """A row of up to 62 symbols and a word that lowers to it."""
+    row = draw(language_rows(20))
+    return row, "".join(draw(st.sampled_from(RAISES[symbol])) for symbol in row)
+
+
+long_block_words = st.one_of(
+    st.text(alphabet="vuw01", max_size=62), raised_rows().map(lambda case: case[1])
+)
 
 
 def brute_converting_set(word):
@@ -49,7 +70,7 @@ def brute_extension_candidates(row, max_suffix):
     found = []
     for length in range(1, max_suffix + 1):
         for suffix in map("".join, itertools.product("vuw01", repeat=length)):
-            members = converting_set(row + suffix)
+            members = brute_converting_set(row + suffix)
             if len(members) == 1 and members[0].count("0") + members[0].count("1") - base == 1:
                 found.append(suffix)
     return sorted(found, key=row_key)
@@ -137,7 +158,7 @@ def test_converting_set_matches_brute_force_up_to_length_four():
             assert converting_set(word) == brute_converting_set(word), word
 
 
-@given(block_words)
+@given(long_block_words)
 @settings(deadline=None)
 def test_converting_set_members_stay_in_language(word):
     members = converting_set(word)
@@ -147,6 +168,17 @@ def test_converting_set_members_stay_in_language(word):
         assert is_row(member)
         for original, replaced in zip(word, member):
             assert replaced in CHOICES[original]
+
+
+@given(raised_rows())
+@settings(deadline=None)
+def test_converting_set_contains_every_raised_row(case):
+    # completeness, checked from the row side: whatever word a row was
+    # lowered from, the row is among that word's lowerings
+    row, raised = case
+    members = converting_set(raised)
+    assert row in members
+    assert len(members) <= 3
 
 
 @pytest.mark.parametrize(
@@ -221,6 +253,19 @@ def test_extension_candidates_match_brute_force(row):
     assert extension_candidates(row, max_suffix=4) == brute_extension_candidates(row, 4)
 
 
+@given(language_rows(2).filter(lambda row: len(row) <= 5), st.integers(1, 2))
+@settings(deadline=None)
+def test_extension_candidates_match_brute_force_on_random_rows(row, max_suffix):
+    assert extension_candidates(row, max_suffix) == brute_extension_candidates(row, max_suffix)
+
+
+@pytest.mark.parametrize("row, longest", [("vv0ww", 3), ("vv1ww", 3), ("vv0w", 4)])
+def test_extension_candidates_stop_at_the_longest_qualifying_suffix(row, longest):
+    # with a leading v and b trailing w, no suffix longer than 7 - a - b can
+    # add exactly one literal, so a larger max_suffix finds nothing more
+    assert extension_candidates(row, 8) == brute_extension_candidates(row, longest)
+
+
 def test_single_row_extension_is_identity():
     assert extend_right(("vv0",), max_suffix=6) == {("vv0",)}
 
@@ -237,9 +282,9 @@ def test_extension_without_candidates_raises():
 
 def test_extension_validates_rows():
     with pytest.raises(ValueError):
-        extend_right(("w1v",))
+        extend_right(("w1v",), max_suffix=4)
     with pytest.raises(ValueError):
-        extend_right(())
+        extend_right((), max_suffix=4)
 
 
 def test_extension_never_rewrites_last_row():

@@ -170,6 +170,18 @@ def test_blockset_long_word(capsys):
     assert out == word + "\n"
 
 
+def test_blockset_reads_word_from_file(tmp_path, capsys):
+    row = tmp_path / "row.txt"
+    row.write_text("1uu11\n100\n")
+    code, out, _ = run_cli(capsys, "blockset", f"@{row}")
+    assert code == 0
+    assert out == "1uu1uu0w\n"
+    code, out, err = run_cli(capsys, "blockset", f"@{tmp_path / 'missing.txt'}")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_blockset_empty_set(capsys):
     code, out, _ = run_cli(capsys, "blockset", "w1v")
     assert code == 0
