@@ -14,7 +14,6 @@ bounded search at the bottom of this module looks for.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 from collections import deque
@@ -84,17 +83,14 @@ def converting_set(word: str) -> list[str]:
     (p, q) whose middle has length 1 mod 3 admits at most one lowering: the
     first p symbols become v, every third middle symbol stays a literal, the
     symbols between become u, and the last q symbols become w.  At most three
-    shapes fit the length, so the set has at most three members.  Results
-    are memoised for the life of the process; each call returns a fresh list.
+    shapes fit the length, so the set has at most three members.  Nothing is
+    cached: each call computes a fresh list.
     """
     check_block_word(word)
-    return list(_lowerings(word))
+    return _lowerings(word)
 
 
-# Cached, like _candidates below: both are pure functions of their
-# arguments, and the block census asks for each word about 29 times.
-@functools.lru_cache(maxsize=None)
-def _lowerings(word: str) -> tuple[str, ...]:
+def _lowerings(word: str) -> list[str]:
     n = len(word)
     out: list[str] = []
     for p in range(3):
@@ -110,7 +106,24 @@ def _lowerings(word: str) -> tuple[str, ...]:
                 continue
             out.append("v" * p + "uu".join(literals) + "w" * q)
     out.sort(key=row_key)
-    return tuple(out)
+    return out
+
+
+class _Memo:
+    """What one search has worked out so far; it is dropped with the search.
+
+    ``steps`` maps (row, carried) to one step of the extension walk,
+    ``candidates`` maps (row, max_suffix) to the row's extension candidates,
+    and ``lowerings`` maps a working word of initial creation to its
+    converting set.
+    """
+
+    __slots__ = ("steps", "candidates", "lowerings")
+
+    def __init__(self) -> None:
+        self.steps: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
+        self.candidates: dict[tuple[str, int], list[str]] = {}
+        self.lowerings: dict[str, list[str]] = {}
 
 
 _SEED = re.compile(r"v{0,2}[01]w{0,2}")
@@ -126,30 +139,41 @@ INITIAL_SEEDS = tuple(
 def create_initial_blocks(seed: str, depth: int) -> set[Block]:
     """All blocks the initial-creation procedure can produce from ``seed``.
 
-    Each level lowers the working word in every possible way; a branch dies
-    when its chosen row has no literals left to expand.  After ``depth``
-    levels one more lowering closes the block, so results have depth + 1
-    rows.
+    Each level lowers the working word in every possible way and expands the
+    chosen row into the next working word; a branch dies when its working
+    word has no lowering.  After ``depth`` levels one more lowering closes
+    the block, so results have depth + 1 rows.
     """
     check_block_word(seed)
     if not _SEED.fullmatch(seed):
         raise InvalidSeed(f"seed must match v{{0,2}}[01]w{{0,2}}, got {seed!r}")
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    results: set[Block] = set()
+    return _initial_levels(seed, depth, _Memo())[-1]
 
-    def walk(level: int, working: str, rows: Block) -> None:
-        if level > depth:
-            for last in converting_set(working):
-                results.add(rows + (last,))
-            return
-        for row in converting_set(working):
-            if _literals(row) == 0:
-                continue
-            walk(level + 1, expand_literals(row), rows + (row,))
 
-    walk(1, seed, ())
-    return results
+def _initial_levels(seed: str, depth: int, memo: _Memo) -> list[set[Block]]:
+    # Level by level: entry k - 1 holds the blocks of depth k.  Every row of
+    # the language has a literal, so every chosen row expands to a non-empty
+    # working word.
+    known = memo.lowerings
+
+    def lowerings(word: str) -> list[str]:
+        found = known.get(word)
+        if found is None:
+            found = known[word] = _lowerings(word)
+        return found
+
+    levels: list[set[Block]] = []
+    partial: list[tuple[Block, str]] = [((), seed)]
+    for _ in range(depth):
+        partial = [
+            (rows + (row,), row.translate(_EXPAND))
+            for rows, working in partial
+            for row in lowerings(working)
+        ]
+        levels.append({rows + (last,) for rows, working in partial for last in lowerings(working)})
+    return levels
 
 
 def extension_candidates(row: str, max_suffix: int) -> list[str]:
@@ -157,34 +181,32 @@ def extension_candidates(row: str, max_suffix: int) -> list[str]:
 
     A suffix qualifies when the converting set of row + suffix is a singleton
     whose literal count exceeds the original row's by exactly one.  Suffixes
-    are tried in full up to the longest length that can qualify.  Results
-    are memoised for the life of the process; each call returns a fresh list.
+    are tried in full up to the longest length that can qualify.  Nothing is
+    cached: each call computes a fresh list, and a search keeps the lists it
+    has computed in its own memo.
     """
     if not is_row(row):
         raise ValueError(f"not a member of the row language: {row!r}")
     if max_suffix < 1:
         raise ValueError("max_suffix must be at least 1")
-    return list(_candidates(row, max_suffix))
+    return _candidates(row, max_suffix)
 
 
-@functools.lru_cache(maxsize=None)
-def _candidates(row: str, max_suffix: int) -> tuple[str, ...]:
+def _candidates(row: str, max_suffix: int) -> list[str]:
     # A lowering of shape (p, q) keeps (len - p - q + 2) / 3 literals, so one
     # literal more than the row, whose shape is (a, b), needs a suffix of
     # exactly 3 + p + q - a - b <= 7 - a - b symbols.
     a = len(row) - len(row.lstrip("v"))
     b = len(row) - len(row.rstrip("w"))
     base = _literals(row)
-    # uncached, so the cache keeps only the words the search itself asks about
-    lowerings = _lowerings.__wrapped__
     found: list[str] = []
     for length in range(1, min(max_suffix, 7 - a - b) + 1):
         for suffix in map("".join, itertools.product("01uvw", repeat=length)):
-            members = lowerings(row + suffix)
+            members = _lowerings(row + suffix)
             if len(members) == 1 and _literals(members[0]) == base + 1:
                 found.append(suffix)
     found.sort(key=row_key)
-    return tuple(found)
+    return found
 
 
 def validate_block(rows: Block) -> Block:
@@ -206,34 +228,55 @@ def extend_right(rows: Block, max_suffix: int) -> set[Block]:
     never rewritten.  Branches whose combination admits no lowering die.
     """
     validate_block(rows)
-    candidates = extension_candidates(rows[0], max_suffix)
+    if max_suffix < 1:
+        raise ValueError("max_suffix must be at least 1")
+    return _extend(rows, max_suffix, _Memo())
+
+
+def _extend(rows: Block, max_suffix: int, memo: _Memo) -> set[Block]:
+    key = (rows[0], max_suffix)
+    candidates = memo.candidates.get(key)
+    if candidates is None:
+        candidates = memo.candidates[key] = _candidates(rows[0], max_suffix)
     if not candidates:
         raise NoExtension(
             f"no suffix of length <= {max_suffix} forces a singleton lowering of {rows[0]!r}"
         )
     last = len(rows) - 1
+    if last == 0:
+        return {rows}
+    steps = memo.steps
     results: set[Block] = set()
-
-    def walk(i: int, carried: str, acc: Block) -> None:
-        if i == last:
-            results.add(acc + (rows[last],))
-            return
-        combined = rows[i] + carried
-        offset = len(rows[i])
-        for lowered in converting_set(combined):
-            survivors = "".join(
-                lowered[p]
-                for p in range(offset, len(combined))
-                if combined[p] in "01" and lowered[p] == combined[p]
-            )
-            if not survivors:
-                results.add(acc + (lowered,) + rows[i + 1:])
-            else:
-                walk(i + 1, expand_literals(survivors), acc + (lowered,))
-
-    for suffix in candidates:
-        walk(0, suffix, ())
+    # Row by row over the distinct branches: many suffixes lower the first
+    # row alike, and branches that agree on the rows rewritten so far and on
+    # the carried suffix have the same continuation, so it is walked once.
+    branches = {((), suffix) for suffix in candidates}
+    for i in range(last):
+        row, below = rows[i], rows[i + 1:]
+        deeper: set[tuple[Block, str]] = set()
+        for acc, carried in branches:
+            step = steps.get((row, carried))
+            if step is None:
+                step = steps[row, carried] = _step(row, carried)
+            for lowered, following in step:
+                # the last row is never rewritten, whatever reaches it
+                if following and i + 1 < last:
+                    deeper.add((acc + (lowered,), following))
+                else:
+                    results.add(acc + (lowered,) + below)
+        branches = deeper
     return results
+
+
+def _step(row: str, carried: str) -> tuple[tuple[str, str], ...]:
+    # Each lowering of row + carried, with what it carries to the next row.
+    # A lowering keeps a literal only where the word had that same literal,
+    # so the literals of its appended part are exactly the survivors, and
+    # translating that part expands them ("" when none survived).
+    offset = len(row)
+    return tuple(
+        (lowered, lowered[offset:].translate(_EXPAND)) for lowered in _lowerings(row + carried)
+    )
 
 
 @dataclass(frozen=True)
@@ -318,6 +361,11 @@ def search(
     duplicates and provably closure-dead blocks are dropped when generated
     and never consume budget.  Results are canonically ordered.
 
+    The search keeps one memo of extension-walk steps, extension candidates
+    and initial-creation lowerings, shared by all its blocks and dropped
+    when it returns; the same (row, carried suffix) step recurs across many
+    blocks, so most steps are looked up rather than computed.
+
     ``threads`` must be at least 1 but selects nothing: the search runs in
     the calling thread, because the examinations are pure Python and a
     thread pool measured no faster than serial under the interpreter lock.
@@ -328,12 +376,13 @@ def search(
         raise ValueError("budget must be at least 1")
     if threads < 1:
         raise ValueError("threads must be at least 1")
+    memo = _Memo()
     frontier: deque[tuple[Block, Provenance]] = deque()
     seen: set[Block] = set()
     duplicates = 0
     for seed in INITIAL_SEEDS:
-        for depth in range(1, max_rows):
-            for rows in sorted(create_initial_blocks(seed, depth), key=block_key):
+        for level in _initial_levels(seed, max_rows - 1, memo):
+            for rows in sorted(level, key=block_key):
                 if rows in seen:
                     duplicates += 1
                     continue
@@ -349,7 +398,7 @@ def search(
         if report.qualifies and rows not in hits:
             hits[rows] = SearchHit(rows, provenance, report)
         try:
-            children = extend_right(rows, max_suffix)
+            children = _extend(rows, max_suffix, memo)
         except NoExtension:
             children = set()
         child_provenance = Provenance(provenance.seed, provenance.extensions + 1)

@@ -1,8 +1,10 @@
 """Row language, converting sets, block construction, and the bounded search."""
 
+import gc
 import hashlib
 import itertools
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,7 @@ from taglab.blocks import (
     row_key,
     search,
 )
+from taglab.blocks import _extend, _initial_levels, _Memo
 
 ROW_LANGUAGE = re.compile(r"v{0,2}[01](uu[01])*w{0,2}")
 CHOICES = {"0": "0vuw", "1": "1vuw", "w": "wu", "v": "v", "u": "u"}
@@ -64,19 +67,38 @@ def brute_converting_set(word):
     )
 
 
-def brute_extension_candidates(row, max_suffix):
+# every prefix of a row: up to two v, then optionally a literal, further
+# uu-literal groups, and the start of one more group or of the w tail
+ROW_PREFIX = re.compile(r"v{0,2}(?:[01](?:uu[01])*(?:u{1,2}|w{0,2}))?")
+
+
+def pruned_converting_set(word):
+    """Oracle: brute_converting_set's positionwise replacements, grown symbol
+    by symbol and abandoned as soon as the prefix cannot begin a row."""
+    prefixes = [""]
+    for symbol in word:
+        prefixes = [
+            prefix + choice
+            for prefix in prefixes
+            for choice in CHOICES[symbol]
+            if ROW_PREFIX.fullmatch(prefix + choice)
+        ]
+    return sorted((row for row in prefixes if ROW_LANGUAGE.fullmatch(row)), key=row_key)
+
+
+def brute_extension_candidates(row, max_suffix, lowerings=brute_converting_set):
     """Oracle: try every suffix, demand a singleton set one literal richer."""
     base = row.count("0") + row.count("1")
     found = []
     for length in range(1, max_suffix + 1):
         for suffix in map("".join, itertools.product("vuw01", repeat=length)):
-            members = brute_converting_set(row + suffix)
+            members = lowerings(row + suffix)
             if len(members) == 1 and members[0].count("0") + members[0].count("1") - base == 1:
                 found.append(suffix)
     return sorted(found, key=row_key)
 
 
-def replay_extension(rows, max_suffix):
+def replay_extension(rows, max_suffix, lowerings=brute_converting_set):
     """Oracle: replay the extension loop directly over brute-force sets."""
     results = set()
     last = len(rows) - 1
@@ -87,7 +109,7 @@ def replay_extension(rows, max_suffix):
             return
         combined = rows[i] + carried
         offset = len(rows[i])
-        for lowered in brute_converting_set(combined):
+        for lowered in lowerings(combined):
             survivors = "".join(
                 lowered[p]
                 for p in range(offset, len(combined))
@@ -98,9 +120,52 @@ def replay_extension(rows, max_suffix):
             else:
                 walk(i + 1, expand_literals(survivors), acc + (lowered,))
 
-    for suffix in brute_extension_candidates(rows[0], max_suffix):
+    for suffix in brute_extension_candidates(rows[0], max_suffix, lowerings):
         walk(0, suffix, ())
     return results
+
+
+def recursive_initial_blocks(seed, depth):
+    """Reference: initial creation as the recursive walk it was first written as."""
+    results = set()
+
+    def walk(level, working, rows):
+        if level > depth:
+            for last in converting_set(working):
+                results.add(rows + (last,))
+            return
+        for row in converting_set(working):
+            if row.count("0") + row.count("1") == 0:
+                continue
+            walk(level + 1, expand_literals(row), rows + (row,))
+
+    walk(1, seed, ())
+    return results
+
+
+@st.composite
+def search_blocks(draw):
+    """A block as the search meets it, and a suffix bound: an initial block
+    of depth 1-3, right-extended once or not at all."""
+    max_suffix = draw(st.integers(1, 3))
+    seed = draw(st.sampled_from(INITIAL_SEEDS))
+    depth = draw(st.integers(1, 3))
+    rows = draw(st.sampled_from(sorted(create_initial_blocks(seed, depth), key=block_key)))
+    if draw(st.booleans()):
+        try:
+            children = extend_right(rows, max_suffix)
+        except NoExtension:
+            children = set()
+        if children:
+            rows = draw(st.sampled_from(sorted(children, key=block_key)))
+    return rows, max_suffix
+
+
+def extension_outcome(extend, rows, max_suffix):
+    try:
+        return extend(rows, max_suffix)
+    except NoExtension:
+        return NoExtension
 
 
 def test_membership_accepts_grouped_row():
@@ -156,6 +221,28 @@ def test_converting_set_matches_brute_force_up_to_length_four():
     for length in range(5):
         for word in map("".join, itertools.product("vuw01", repeat=length)):
             assert converting_set(word) == brute_converting_set(word), word
+
+
+def test_pruned_oracle_matches_brute_force_up_to_length_five():
+    for length in range(6):
+        for word in map("".join, itertools.product("vuw01", repeat=length)):
+            assert pruned_converting_set(word) == brute_converting_set(word), word
+
+
+def test_converting_set_leaves_nothing_behind():
+    # no module-level cache may grow with use: once one call has warmed the
+    # interpreter up, converting every word of length 6 keeps nothing alive
+    words = list(map("".join, itertools.product("vuw01", repeat=6)))
+    tracemalloc.start()
+    try:
+        converting_set("0000")
+        before = tracemalloc.get_traced_memory()[0]
+        for word in words:
+            converting_set(word)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before < 64 * 1024
 
 
 @given(long_block_words)
@@ -241,6 +328,18 @@ def test_initial_blocks_structure():
                 assert is_row(row)
 
 
+def test_initial_blocks_match_recursive_reference():
+    # one memo for every seed, as in a search, so a warm memo is covered too
+    memo = _Memo()
+    for seed in INITIAL_SEEDS:
+        levels = _initial_levels(seed, 4, memo)
+        assert len(levels) == 4
+        for depth, level in enumerate(levels, start=1):
+            expected = recursive_initial_blocks(seed, depth)
+            assert level == expected, (seed, depth)
+            assert create_initial_blocks(seed, depth) == expected, (seed, depth)
+
+
 def test_initial_blocks_reject_bad_seed():
     with pytest.raises(InvalidSeed):
         create_initial_blocks("w1", 3)
@@ -273,6 +372,23 @@ def test_single_row_extension_is_identity():
 def test_extension_replay_matches_oracle():
     for rows in [("v1w", "1uu1"), ("0w", "v0"), ("1ww", "0uu0", "1ww")]:
         assert extend_right(rows, max_suffix=3) == replay_extension(rows, 3)
+
+
+@given(search_blocks())
+@settings(deadline=None, max_examples=60)
+def test_extension_matches_replay_on_search_blocks(case):
+    rows, max_suffix = case
+    expected = replay_extension(rows, max_suffix, pruned_converting_set)
+    assert extension_outcome(extend_right, rows, max_suffix) == (expected or NoExtension)
+
+
+@given(st.lists(search_blocks(), min_size=2, max_size=8))
+@settings(deadline=None)
+def test_a_warm_memo_changes_no_extension(cases):
+    memo = _Memo()
+    for rows, max_suffix in cases:
+        shared = extension_outcome(lambda *args: _extend(*args, memo), rows, max_suffix)
+        assert shared == extension_outcome(extend_right, rows, max_suffix)
 
 
 def test_extension_without_candidates_raises():
@@ -403,6 +519,21 @@ def test_search_duplicates_do_not_consume_budget():
     assert tight.examined == full.examined
 
 
+def test_search_leaves_nothing_behind():
+    # the search's memo lives and dies with the call
+    search(2, 50)
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        search(3, 200, max_suffix=3)
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before < 64 * 1024
+
+
 def test_search_thread_determinism():
     single = search(3, 120, threads=1, max_suffix=3)
     pooled = search(3, 120, threads=8, max_suffix=3)
@@ -419,15 +550,24 @@ def test_search_document_rendering(exhaustive_search):
             assert row in lines
 
 
+PINNED_CENSUSES = [
+    # max_rows, budget, max_suffix, document sha256, examined, duplicates, hits
+    (4, 2000, 3, "c73f544ae8ffe965cbeaa36f9af725540fb5df65c304f5bfea5aa0a9396a8ae3", 738, 1149, 2),
+    (4, 2000, 4, "b21f5259eb5ec5d57f4b337153b6d1d0b3eaf7f591c5a712cd29bbf170b623be", 1068, 2274, 2),
+    (5, 20000, 4, "f5d26fdc5adaa5a9844755f182aab61055c334d311fb700f73a9e1071ad13a8b", 5540, 12982, 3),
+]
+
+
 @pytest.mark.parametrize(
-    "max_suffix, digest, examined, duplicates, found",
-    [
-        (3, "c73f544ae8ffe965cbeaa36f9af725540fb5df65c304f5bfea5aa0a9396a8ae3", 738, 1149, 2),
-        (4, "b21f5259eb5ec5d57f4b337153b6d1d0b3eaf7f591c5a712cd29bbf170b623be", 1068, 2274, 2),
-    ],
+    "max_rows, budget, max_suffix, digest, examined, duplicates, found",
+    PINNED_CENSUSES,
+    # the two 4-row censuses keep the ids they were first pinned under
+    ids=["-".join(map(str, case[2:] if case[:2] == (4, 2000) else case)) for case in PINNED_CENSUSES],
 )
-def test_census_documents_are_pinned(max_suffix, digest, examined, duplicates, found):
-    result = search(4, 2000, threads=1, max_suffix=max_suffix)
+def test_census_documents_are_pinned(
+    max_rows, budget, max_suffix, digest, examined, duplicates, found
+):
+    result = search(max_rows, budget, threads=1, max_suffix=max_suffix)
     assert result.exhausted
     assert (result.examined, result.skipped_duplicates, len(result.hits)) == (
         examined,
@@ -436,5 +576,5 @@ def test_census_documents_are_pinned(max_suffix, digest, examined, duplicates, f
     )
     # every hit also carries creation provenance, so all four conditions hold
     assert all(value for hit in result.hits for _, value in hit.report.items())
-    doc = render_search_results(result, 4, 2000, max_suffix)
+    doc = render_search_results(result, max_rows, budget, max_suffix)
     assert hashlib.sha256(doc.encode()).hexdigest() == digest
