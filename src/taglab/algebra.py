@@ -9,7 +9,7 @@ operations to keep concatenation identities corner-case free.
 
 from __future__ import annotations
 
-from taglab.core import DEFAULT_PRODUCTION, WordTooShort, _expand, check_word
+from taglab.core import WordTooShort, _expand, check_word
 
 MIN_PASS_LENGTH = 4
 
@@ -43,19 +43,6 @@ def _require_pass_length(word: str) -> None:
         raise WordTooShort(
             f"full-pass operations need at least {MIN_PASS_LENGTH} symbols, got {len(word)}"
         )
-
-
-def full_pass_simulated(word: str) -> str:
-    """Run the tag step until every symbol of the input has been deleted.
-
-    One symbol at a time, on purpose: this is the reference that the closed
-    form is checked against.
-    """
-    _require_pass_length(word)
-    check_word(word)
-    for _ in range(-(-len(word) // 3)):
-        word = word[3:] + DEFAULT_PRODUCTION[word[0]]
-    return word
 
 
 def full_pass_algebraic(word: str) -> str:

@@ -17,8 +17,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections import deque
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from taglab.core import DEFAULT_PRODUCTION
 
@@ -279,16 +278,14 @@ def _step(row: str, carried: str) -> tuple[tuple[str, str], ...]:
     )
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(NamedTuple):
     """How a block came to be: its creation seed and extension count."""
 
     seed: Optional[str]
     extensions: int = 0
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """The four acceptance conditions for periodic-evolution candidates."""
 
     cond_i: bool
@@ -323,15 +320,13 @@ def check_conditions(rows: Block, provenance: Optional[Provenance] = None) -> Co
     )
 
 
-@dataclass(frozen=True)
-class SearchHit:
+class SearchHit(NamedTuple):
     rows: Block
     provenance: Provenance
     report: ConditionReport
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     hits: tuple[SearchHit, ...]
     examined: int
     skipped_duplicates: int

@@ -15,8 +15,8 @@ code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from taglab import words
 from taglab.algebra import cut, length_residue, pass_output
@@ -31,26 +31,32 @@ class InvariantViolated(Exception):
     """The quadruplet cannot participate in a derivation step."""
 
 
-@dataclass(frozen=True)
-class Quadruplet:
-    """Three words plus a cut offset describing (left^n mid right^m) truncated."""
-
+# Bare fields plus a validating subclass, as for core.RunOutcome: a NamedTuple
+# may not define __new__ in its own body.
+class _QuadrupletFields(NamedTuple):
     left: str
     mid: str
     right: str
     offset: int
 
-    def __post_init__(self):
+
+class Quadruplet(_QuadrupletFields):
+    """Three words plus a cut offset describing (left^n mid right^m) truncated."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for word in (self.left, self.mid, self.right):
             check_word(word)
             if len(word) < 4:
                 raise ValueError("quadruplet words need at least four symbols")
         if self.offset not in (0, 1, 2):
             raise ValueError(f"cut offset must be 0, 1 or 2, got {self.offset!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class StepChecks:
+class StepChecks(NamedTuple):
     """Pass/fail record of the side conditions of one derivation step."""
 
     l_a: bool
@@ -68,8 +74,7 @@ class StepChecks:
         return [(name, getattr(self, name)) for name in CHECK_NAMES]
 
 
-@dataclass(frozen=True)
-class StepCertificate:
+class StepCertificate(NamedTuple):
     source: Quadruplet
     derived: Quadruplet
     y: int
@@ -80,8 +85,7 @@ class StepCertificate:
         return self.checks.all_pass and self.y == self.derived.offset
 
 
-@dataclass(frozen=True)
-class ChainCertificate:
+class ChainCertificate(NamedTuple):
     quadruplets: tuple[Quadruplet, ...]
     step_certificates: tuple[StepCertificate, ...]
     closure_ok: bool

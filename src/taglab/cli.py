@@ -11,8 +11,12 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from taglab import blocks, certify, core
+# Each subcommand imports the taglab modules it uses when it runs, so a
+# process loads only those; importing this module loads none of them.
+if TYPE_CHECKING:
+    from taglab import certify
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -55,6 +59,8 @@ def _fail(message: str) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from taglab import core
+
     try:
         word = core.check_word(_read_word(args.word))
         target = core.check_word(_read_word(args.target)) if args.target else None
@@ -69,6 +75,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify_theorem(args) -> int:
+    from taglab import certify, core
+
     all_reached = True
     for n in range(args.n_max + 1):
         cells = []
@@ -84,6 +92,8 @@ def _cmd_verify_theorem(args) -> int:
 
 
 def _perturbed_seed(args) -> certify.Quadruplet:
+    from taglab import certify
+
     seed = certify.seed_quadruplet()
     left = seed.left
     if args.flip_a is not None:
@@ -96,6 +106,8 @@ def _perturbed_seed(args) -> certify.Quadruplet:
 
 
 def _cmd_verify_omega(args) -> int:
+    from taglab import certify
+
     if args.check is not None:
         try:
             text = Path(args.check).read_text("ascii")
@@ -136,6 +148,8 @@ def _cmd_verify_omega(args) -> int:
 
 
 def _cmd_blockset(args) -> int:
+    from taglab import blocks
+
     try:
         members = blocks.converting_set(_read_word(args.word))
     except (OSError, ValueError) as exc:
@@ -146,6 +160,8 @@ def _cmd_blockset(args) -> int:
 
 
 def _cmd_block_search(args) -> int:
+    from taglab import blocks
+
     result = blocks.search(args.max_rows, args.budget, args.threads, args.max_suffix)
     document = blocks.render_search_results(result, args.max_rows, args.budget, args.max_suffix)
     if args.out is not None:
@@ -159,6 +175,8 @@ def _cmd_block_search(args) -> int:
 
 
 def _cmd_decode(args) -> int:
+    from taglab import core
+
     try:
         word = _read_word(args.input)
         binary_input = word != "" and set(word) <= {"0", "1"}

@@ -16,10 +16,9 @@ detection exact.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import accumulate
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 
 class WordTooShort(Exception):
@@ -66,16 +65,25 @@ class OutcomeKind(enum.Enum):
     TARGET_REACHED = "TargetReached"
 
 
-@dataclass(frozen=True)
-class RunOutcome:
+# A NamedTuple may not define __new__ in its own body, so the validating
+# constructor lives in a subclass of the bare fields.
+class _RunOutcomeFields(NamedTuple):
     kind: OutcomeKind
     steps_taken: int
     final: str
     cycle_length: Optional[int] = None
 
-    def __post_init__(self):
+
+class RunOutcome(_RunOutcomeFields):
+    """How a run ended: its kind, step count, final word and, for a cycle, its period."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if (self.cycle_length is not None) != (self.kind is OutcomeKind.CYCLED):
             raise ValueError("cycle_length is present exactly when the run cycled")
+        return self
 
 
 def step(word: str) -> str:

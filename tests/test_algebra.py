@@ -7,11 +7,12 @@ from taglab import words
 from taglab.algebra import (
     cut,
     full_pass_algebraic,
-    full_pass_simulated,
     length_residue,
     pass_output,
 )
 from taglab.core import WordTooShort
+
+from reference import full_pass_simulated
 
 binary_words = st.text(alphabet="01")
 passable_words = st.text(alphabet="01", min_size=4, max_size=300)

@@ -2,6 +2,9 @@
 
 import contextlib
 import io
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -306,3 +309,58 @@ def test_random_command_lines_exit_cleanly(missing_path, data):
             code = exc.code
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Run in a fresh interpreter without site, so that only the modules the code
+# under test imports are loaded; prints the exit code, whether dataclasses was
+# loaded, and the loaded taglab modules.
+LOADED = """
+import io, sys
+sys.path.insert(0, sys.argv[1])
+argv = sys.argv[2:]
+if argv:
+    from taglab.cli import main
+    stdout, sys.stdout = sys.stdout, io.StringIO()
+    code = main(argv)
+    sys.stdout = stdout
+else:
+    import taglab
+    code = None
+print(code, "dataclasses" in sys.modules,
+      *sorted(name for name in sys.modules if name.partition(".")[0] == "taglab"))
+"""
+
+CORE = ["taglab", "taglab.cli", "taglab.core"]
+BLOCKS = ["taglab", "taglab.blocks", "taglab.cli", "taglab.core"]
+CERTIFY = ["taglab", "taglab.algebra", "taglab.certify", "taglab.cli", "taglab.core",
+           "taglab.words"]
+
+
+def loaded_modules(*argv):
+    proc = subprocess.run([sys.executable, "-S", "-c", LOADED, str(SRC), *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, dataclasses, *modules = proc.stdout.split()
+    return code, dataclasses, modules
+
+
+SUBCOMMAND_RUNS = [
+    ("simulate --word 100100100 --budget 1000", "0", CORE),
+    ("decode ZZOOOZ", "0", CORE),
+    ("blockset 0000", "0", BLOCKS),
+    ("block-search 2 10 1", "0", BLOCKS),
+    ("verify-omega --seed-x 1", "3", CERTIFY),
+    ("verify-theorem 0 0 10", "2", CERTIFY),
+]
+
+
+@pytest.mark.parametrize("command, code, modules", SUBCOMMAND_RUNS,
+                         ids=[command.split()[0] for command, _, _ in SUBCOMMAND_RUNS])
+def test_each_subcommand_loads_only_its_modules(command, code, modules):
+    assert loaded_modules(*command.split()) == (code, "False", modules)
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert loaded_modules() == ("None", "False", ["taglab"])
