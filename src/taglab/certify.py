@@ -168,6 +168,8 @@ def total_pass_iterations(chain: ChainCertificate, n: int = 0, m: int = 0) -> in
 
 def direct_growth_check(n: int, m: int, budget: int = 200_000) -> RunOutcome:
     """Simulate A^n B C^m until it literally becomes A^(n+1) B C^(m+1)."""
+    if n < 0 or m < 0:
+        raise ValueError("powers must be non-negative")
     start = words.A * n + words.B + words.C * m
     target = words.A * (n + 1) + words.B + words.C * (m + 1)
     return run(start, budget=budget, target=target)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 # Each subcommand imports the taglab modules it uses when it runs, so a
@@ -49,7 +48,8 @@ def _non_negative(text: str) -> int:
 
 def _read_word(arg: str) -> str:
     if arg.startswith("@"):
-        return "".join(Path(arg[1:]).read_text("ascii").split())
+        with open(arg[1:], encoding="ascii") as handle:
+            return "".join(handle.read().split())
     return arg
 
 
@@ -110,7 +110,8 @@ def _cmd_verify_omega(args) -> int:
 
     if args.check is not None:
         try:
-            text = Path(args.check).read_text("ascii")
+            with open(args.check, encoding="ascii") as handle:
+                text = handle.read()
             chain = certify.parse_certificate(text)
         except (OSError, ValueError) as exc:
             return _fail(str(exc))
@@ -134,7 +135,8 @@ def _cmd_verify_omega(args) -> int:
     document = certify.render_certificate(chain)
     if args.emit is not None:
         try:
-            Path(args.emit).write_text(document, "ascii")
+            with open(args.emit, "w", encoding="ascii") as handle:
+                handle.write(document)
         except OSError as exc:
             return _fail(str(exc))
     else:
@@ -166,7 +168,8 @@ def _cmd_block_search(args) -> int:
     document = blocks.render_search_results(result, args.max_rows, args.budget, args.max_suffix)
     if args.out is not None:
         try:
-            Path(args.out).write_text(document, "ascii")
+            with open(args.out, "w", encoding="ascii") as handle:
+                handle.write(document)
         except OSError as exc:
             return _fail(str(exc))
     else:

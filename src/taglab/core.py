@@ -6,17 +6,17 @@ pure.  ``step`` applies one transformation; ``run`` iterates in closed form:
 while ``k <= len(w) // 3`` steps read only symbols of ``w`` itself, they turn
 ``w`` into ``w[3*k:]`` followed by the productions of the sampled symbols
 ``w[0:3*k:3]``, which is one slice, one expansion of the sample and one
-concatenation.  Each sampled symbol changes the word length by the fixed
-amount ``len(production) - 3`` (-1 for a 0, +1 for a 1), so a chunk can only
-pass through a given word at the steps where its running length equals that
-word's length; those steps alone are compared, which keeps target and cycle
-detection exact.
+concatenation.  The chunk is then one string, ``w`` followed by that
+expansion, in which the word after ``j`` steps starts at ``3*j``.  Target
+and cycle detection search it for the other word with ``str.find`` and keep
+only hits at a step whose running length (each sampled symbol changes it by
+``len(production) - 3``: -1 for a 0, +1 for a 1) equals the other word's,
+which keeps detection exact.
 """
 
 from __future__ import annotations
 
 import enum
-from itertools import accumulate
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
@@ -29,13 +29,11 @@ class NotTokenizable(Exception):
     """The word is not a concatenation of 00 and 1101 segments."""
 
 
-_BINARY = frozenset("01")
-
-
 def check_word(word: str) -> str:
     """Validate that ``word`` is a string over {0,1} and return it."""
-    if not _BINARY.issuperset(word):
-        bad = sorted(set(word) - _BINARY)
+    # Two counts run at C speed; a set walk visits the word symbol by symbol.
+    if word.count("0") + word.count("1") != len(word):
+        bad = sorted(set(word) - {"0", "1"})
         raise ValueError(f"not a binary word, unexpected symbols {bad}")
     return word
 
@@ -46,6 +44,8 @@ _ZERO, _ONE = DEFAULT_PRODUCTION["0"], DEFAULT_PRODUCTION["1"]
 # Length change per sampled symbol, and its largest size.
 _DELTAS = {symbol: len(production) - 3 for symbol, production in DEFAULT_PRODUCTION.items()}
 _SPREAD = max(map(abs, _DELTAS.values()))
+# What each sampled 1 adds to the length beyond a sampled 0.
+_ONE_EXTRA = _DELTAS["1"] - _DELTAS["0"]
 
 
 def _expand(sample: str) -> str:
@@ -94,30 +94,41 @@ def step(word: str) -> str:
     return word[3:] + DEFAULT_PRODUCTION[word[0]]
 
 
-# Symbols compared before a candidate configuration is built in full.
+# Length of the prefix of the other word that a chunk is searched for: long
+# enough that few unaligned or wrong-length hits occur, short enough that
+# each search stays cheap.
 _PREFIX = 32
 
 
-def _first_match(word, expanded, lengths, other, hi):
-    """The first ``j`` in 1..hi at which the chunk of ``word`` equals ``other``.
+def _first_match(full, sampled, size, other, hi):
+    """The first ``j`` in 1..hi at which the chunk ``full`` passes through ``other``.
 
-    ``lengths[j]`` is the word length after ``j`` steps of the chunk, so only
-    the steps where it equals ``len(other)`` can match; the symbols appended
-    by then are the first ``lengths[j] - len(word) + 3 * j`` of ``expanded``.
-    Returns ``(j, word after j steps)``, or ``None``.
+    ``full`` is the chunk's word of ``size`` symbols followed by the expansion
+    of ``sampled``, so the word after ``j`` steps is ``full[3*j:3*j + L]``
+    with ``L = size + j*Δ0 + ones*(Δ1 - Δ0)``, where ``Δ`` is ``_DELTAS`` and
+    ``ones`` counts the 1s among the first ``j`` sampled symbols.  Candidates are the positions
+    where ``other``'s prefix occurs in ``full``; only those at a multiple of
+    3 are steps, and a step matches when ``L == len(other)`` and ``other``
+    starts there.  A length that is off by ``d`` rules out the next
+    ``d // _SPREAD - 1`` steps too.  Returns ``j``, or ``None``.
     """
-    size = len(other)
-    j = 0
-    while True:
-        try:
-            j = lengths.index(size, j + 1, hi + 1)
-        except ValueError:
-            return None
-        start = 3 * j
-        if other.startswith(word[start:start + _PREFIX]):
-            moved = word[start:] + expanded[:size - len(word) + start]
-            if moved == other:
-                return j, moved
+    needle = other[:_PREFIX]
+    goal = len(other)
+    end = 3 * hi + len(needle)
+    ones = counted = 0
+    at = full.find(needle, 3, end)
+    while at >= 0:
+        j, offset = divmod(at, 3)
+        if offset:
+            at = full.find(needle, 3 * (j + 1), end)
+            continue
+        ones += sampled.count("1", counted, j)
+        counted = j
+        gap = abs(size + j * _DELTAS["0"] + ones * _ONE_EXTRA - goal)
+        if not gap and full.startswith(other, at):
+            return j
+        at = full.find(needle, 3 * (j + max(1, gap // _SPREAD)), end)
+    return None
 
 
 def run(word: str, *, budget: int, target: Optional[str] = None) -> RunOutcome:
@@ -127,7 +138,9 @@ def run(word: str, *, budget: int, target: Optional[str] = None) -> RunOutcome:
     raced against a snapshot that is refreshed at exponentially growing
     intervals, so the first match after a refresh yields the exact period.
     Steps are taken in closed-form chunks that end at every snapshot
-    refresh, so the outcome is the one a step-by-step loop gives.
+    refresh, and each chunk is one string searched for the target and the
+    snapshot (``_first_match``), so the outcome is the one a step-by-step
+    loop gives.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -149,24 +162,23 @@ def run(word: str, *, budget: int, target: Optional[str] = None) -> RunOutcome:
             return RunOutcome(OutcomeKind.BUDGET_EXHAUSTED, steps, word)
         k = min(size // 3, budget - steps, saved_step + window - steps)
         sampled = word[0:3 * k:3]
-        expanded = _expand(sampled)
+        full = word + _expand(sampled)
         reach = k * _SPREAD
         near_saved = abs(size - len(saved)) <= reach
         near_target = target is not None and abs(size - target_size) <= reach
-        if near_saved or near_target:
-            lengths = list(accumulate(map(_DELTAS.__getitem__, sampled), initial=size))
-            # The target check after the chunk's last step opens the next turn.
-            # A target found here always precedes a repeat: every word after
-            # the snapshot repeats one that was already compared with it.
-            reached = near_target and _first_match(word, expanded, lengths, target, k - 1)
-            if reached:
-                return RunOutcome(OutcomeKind.TARGET_REACHED, steps + reached[0], reached[1])
-            cycled = near_saved and _first_match(word, expanded, lengths, saved, k)
-            if cycled:
-                j, moved = cycled
-                return RunOutcome(OutcomeKind.CYCLED, steps + j, moved,
+        # The target check after the chunk's last step opens the next turn.
+        # A target found here always precedes a repeat: every word after
+        # the snapshot repeats one that was already compared with it.
+        if near_target:
+            j = _first_match(full, sampled, size, target, k - 1)
+            if j is not None:
+                return RunOutcome(OutcomeKind.TARGET_REACHED, steps + j, target)
+        if near_saved:
+            j = _first_match(full, sampled, size, saved, k)
+            if j is not None:
+                return RunOutcome(OutcomeKind.CYCLED, steps + j, saved,
                                   cycle_length=steps + j - saved_step)
-        word = word[3 * k:] + expanded
+        word = full[3 * k:]
         steps += k
         if steps - saved_step == window:
             saved = word

@@ -152,6 +152,13 @@ def test_direct_growth_needs_budget():
     assert outcome.kind is OutcomeKind.BUDGET_EXHAUSTED
 
 
+@pytest.mark.parametrize("n, m", [(-3, -2), (-1, 0), (0, -1)])
+def test_direct_growth_rejects_negative_powers(n, m):
+    # "A" * -1 is empty, so without the check B would "grow" into B at step 0
+    with pytest.raises(ValueError, match="powers must be non-negative"):
+        direct_growth_check(n, m, 500)
+
+
 def test_chain_iteration_total(chain):
     total = total_pass_iterations(chain)
     assert total == 10444

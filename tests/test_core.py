@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from taglab import words
 from taglab.core import (
+    _PREFIX,
+    DEFAULT_PRODUCTION,
     NotTokenizable,
     OutcomeKind,
     RunOutcome,
@@ -87,6 +89,23 @@ def test_step_rejects_non_binary():
         step("0a0")
 
 
+@pytest.mark.parametrize("word", ["012", "01 ", "01\u00e90", "2", "0\n1"])
+def test_check_word_rejects_other_symbols(word):
+    with pytest.raises(ValueError, match="not a binary word, unexpected symbols"):
+        check_word(word)
+
+
+def test_check_word_names_the_unexpected_symbols():
+    with pytest.raises(ValueError) as info:
+        check_word("0a1b0a")
+    assert str(info.value) == "not a binary word, unexpected symbols ['a', 'b']"
+
+
+@pytest.mark.parametrize("word", ["", "0", "1", "0110100"])
+def test_check_word_returns_binary_words(word):
+    assert check_word(word) is word
+
+
 def test_ten_thousand_steps_from_b_give_abc():
     outcome = run(words.B, budget=10444)
     assert outcome.kind is OutcomeKind.BUDGET_EXHAUSTED
@@ -124,7 +143,14 @@ def run_cases(draw):
     """A word, a budget and a target: on the word's orbit, perturbed, or arbitrary."""
     word = draw(st.text(alphabet="01", max_size=80))
     budget = draw(st.integers(1, 5000))
-    kind = draw(st.sampled_from(["orbit", "refresh", "flipped", "arbitrary", "none"]))
+    kind = draw(st.sampled_from(
+        ["orbit", "refresh", "flipped", "tail-flipped", "off-grid", "periodic", "arbitrary",
+         "none"]))
+    if kind == "periodic":
+        # a repeated block puts the target's prefix at many aligned positions
+        block = draw(st.text(alphabet="01", min_size=1, max_size=7))
+        word = (block * 400)[:draw(st.integers(60, 400))]
+        kind = draw(st.sampled_from(["orbit", "flipped", "tail-flipped", "off-grid"]))
     if kind == "none":
         return word, budget, None
     if kind == "arbitrary":
@@ -136,15 +162,56 @@ def run_cases(draw):
         depth = draw(st.integers(0, budget))
     target = orbit_word(word, max(depth, 0))
     if kind == "flipped" and target:
-        i = draw(st.integers(0, len(target) - 1))
-        target = target[:i] + "10"[int(target[i])] + target[i + 1:]
+        target = flip(target, draw(st.integers(0, len(target) - 1)))
+    if kind == "tail-flipped" and len(target) > _PREFIX:
+        # the prefix still matches, so only the full compare can reject it
+        target = flip(target, draw(st.integers(_PREFIX, len(target) - 1)))
+    if kind == "off-grid" and len(target) >= 3:
+        target = off_grid(target, draw(st.integers(1, 2)))
     return word, budget, target
+
+
+def flip(word, i):
+    """``word`` with its symbol at index ``i`` inverted."""
+    return word[:i] + "10"[int(word[i])] + word[i + 1:]
+
+
+def off_grid(word, shift):
+    """The word read ``shift`` symbols to the right of ``word`` in the chunk
+    that steps it, so it occurs there at a position that is not a step."""
+    return (word + DEFAULT_PRODUCTION[word[0]])[shift:shift + len(word)]
 
 
 @given(run_cases())
 @settings(max_examples=300, deadline=None)
 def test_run_agrees_with_reference_run(case):
     word, budget, target = case
+    assert run(word, budget=budget, target=target) == reference_run(
+        word, budget=budget, target=target
+    )
+
+
+# Cases that random words rarely reach.  In the periodic words the target's
+# prefix occurs at step after step, to be rejected by length or by the full
+# compare.  An off-grid target occurs in the chunk between two steps; a
+# run of zeros puts a prefix hit just before a real match; the cycle of
+# 001101 closes at the last step of a chunk of k steps that starts exactly
+# k symbols away from the snapshot's length.
+PINNED_RUNS = [
+    ("0" * 3000, "0" * 1000, 5000),
+    ("0" * 3000, "0" * 999 + "1", 5000),
+    ("100000" * 60, flip("100000" * 60, -1), 3000),
+    ("100000" * 60, flip(orbit_word("100000" * 60, 90), -1), 3000),
+    ("100000" * 60, orbit_word("100000" * 60, 90), 3000),
+    ("110" * 100, flip(orbit_word("110" * 100, 40), 40), 3000),
+    ("01" * 45, off_grid(orbit_word("01" * 45, 29), 2), 1000),
+    ("1001110100000101001110101100101001100100010010111111011", "0" * 9, 1000),
+    ("001101", None, 100),
+]
+
+
+@pytest.mark.parametrize("word, target, budget", PINNED_RUNS)
+def test_run_agrees_with_reference_run_on_pinned_cases(word, target, budget):
     assert run(word, budget=budget, target=target) == reference_run(
         word, budget=budget, target=target
     )
