@@ -62,10 +62,6 @@ def is_row(word: str) -> bool:
     return _ROW.fullmatch(word) is not None
 
 
-def _literals(word: str) -> int:
-    return word.count("0") + word.count("1")
-
-
 _EXPAND = str.maketrans({**dict.fromkeys("vuw"), **DEFAULT_PRODUCTION})
 
 
@@ -179,10 +175,12 @@ def extension_candidates(row: str, max_suffix: int) -> list[str]:
     """Suffixes whose append leaves exactly one lowering, one literal richer.
 
     A suffix qualifies when the converting set of row + suffix is a singleton
-    whose literal count exceeds the original row's by exactly one.  Suffixes
-    are tried in full up to the longest length that can qualify.  Nothing is
-    cached: each call computes a fresh list, and a search keeps the lists it
-    has computed in its own memo.
+    whose literal count exceeds the original row's by exactly one.  No suffix
+    is lowered: for each length up to the longest that can qualify, the
+    suffixes that fit a shape one literal richer form a product of
+    per-position symbol sets, and those that also fit another shape are
+    left out.  Nothing is cached: each call computes a fresh list, and a
+    search keeps the lists it has computed in its own memo.
     """
     if not is_row(row):
         raise ValueError(f"not a member of the row language: {row!r}")
@@ -194,18 +192,52 @@ def extension_candidates(row: str, max_suffix: int) -> list[str]:
 def _candidates(row: str, max_suffix: int) -> list[str]:
     # A lowering of shape (p, q) keeps (len - p - q + 2) / 3 literals, so one
     # literal more than the row, whose shape is (a, b), needs a suffix of
-    # exactly 3 + p + q - a - b <= 7 - a - b symbols.
+    # exactly 3 + p + q - a - b <= 7 - a - b symbols.  Two shapes never lower
+    # a word alike (a lowering of shape (p, q) opens with exactly p v and
+    # closes with exactly q w), so the converting set is a singleton exactly
+    # when one shape fits.  The suffixes of one length that fit a shape,
+    # given that the row does, are the product of their positions' allowed
+    # sets, and the candidates are, for each shape one literal richer, that
+    # product less the products of the other shapes that fit the row.
     a = len(row) - len(row.lstrip("v"))
     b = len(row) - len(row.rstrip("w"))
-    base = _literals(row)
     found: list[str] = []
     for length in range(1, min(max_suffix, 7 - a - b) + 1):
-        for suffix in map("".join, itertools.product("01uvw", repeat=length)):
-            members = _lowerings(row + suffix)
-            if len(members) == 1 and _literals(members[0]) == base + 1:
-                found.append(suffix)
+        n = len(row) + length
+        fitting = {}
+        for p, q in itertools.product(range(3), repeat=2):
+            if n - p - q >= 1 and (n - p - q) % 3 == 1:
+                # what each position may hold: the head lowers to v, every
+                # third middle symbol stays a literal, the middle symbols
+                # between lower to u, and the tail lowers to w
+                allowed = [
+                    "01v" if i < p else "01w" if i >= n - q else "01" if (i - p) % 3 == 0 else "01uw"
+                    for i in range(n)
+                ]
+                if all(map(str.__contains__, allowed, row)):
+                    fitting[p, q] = allowed[len(row):]
+        for (p, q), sets in fitting.items():
+            if p + q == length + a + b - 3:
+                others = [other for shape, other in fitting.items() if shape != (p, q)]
+                found.extend(_outside(sets, others))
     found.sort(key=row_key)
     return found
+
+
+def _outside(sets: list[str], others: list[list[str]]) -> list[str]:
+    # The words of the product of sets that lie in none of the products of
+    # others, in canonical order: fix the first symbol, keep the products
+    # that admit it, and go on with the rest.
+    if not others:
+        return list(map("".join, itertools.product(*sets)))
+    if not sets:  # the word so far lies in every product left in others
+        return []
+    rest = sets[1:]
+    return [
+        symbol + tail
+        for symbol in sets[0]
+        for tail in _outside(rest, [other[1:] for other in others if symbol in other[0]])
+    ]
 
 
 def validate_block(rows: Block) -> Block:
@@ -371,6 +403,8 @@ def search(
         raise ValueError("budget must be at least 1")
     if threads < 1:
         raise ValueError("threads must be at least 1")
+    if max_suffix < 1:
+        raise ValueError("max_suffix must be at least 1")
     memo = _Memo()
     frontier: deque[tuple[Block, Provenance]] = deque()
     seen: set[Block] = set()

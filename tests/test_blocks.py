@@ -28,6 +28,8 @@ from taglab.blocks import (
 )
 from taglab.blocks import _extend, _initial_levels, _Memo
 
+from reference import reference_candidates
+
 ROW_LANGUAGE = re.compile(r"v{0,2}[01](uu[01])*w{0,2}")
 CHOICES = {"0": "0vuw", "1": "1vuw", "w": "wu", "v": "v", "u": "u"}
 
@@ -365,6 +367,31 @@ def test_extension_candidates_stop_at_the_longest_qualifying_suffix(row, longest
     assert extension_candidates(row, 8) == brute_extension_candidates(row, longest)
 
 
+def shaped_rows(literal_counts):
+    """Every row with the given numbers of literals, in all nine (a, b) shapes."""
+    return [
+        "v" * a + "uu".join(literals) + "w" * b
+        for count in literal_counts
+        for literals in itertools.product("01", repeat=count)
+        for a in range(3)
+        for b in range(3)
+    ]
+
+
+@pytest.mark.parametrize("max_suffix", [1, 2, 3, 4, 8])
+def test_extension_candidates_match_reference_exhaustively(max_suffix):
+    # trying every suffix of up to 7 symbols takes seconds per 3-literal row,
+    # so the longest bound is checked on the shorter rows only
+    for row in shaped_rows(range(1, 3 if max_suffix == 8 else 5)):
+        assert extension_candidates(row, max_suffix) == reference_candidates(row, max_suffix), row
+
+
+@given(language_rows(20), st.integers(1, 4))
+@settings(deadline=None)
+def test_extension_candidates_match_reference_on_long_rows(row, max_suffix):
+    assert extension_candidates(row, max_suffix) == reference_candidates(row, max_suffix)
+
+
 def test_single_row_extension_is_identity():
     assert extend_right(("vv0",), max_suffix=6) == {("vv0",)}
 
@@ -441,6 +468,8 @@ def test_search_rejects_bad_parameters():
         search(2, 0)
     with pytest.raises(ValueError):
         search(2, 5, threads=0)
+    with pytest.raises(ValueError, match="max_suffix must be at least 1"):
+        search(3, 50, 1, 0)
 
 
 def test_search_results_satisfy_filter():

@@ -86,6 +86,22 @@ def test_reference_endpoints():
     assert tuple(offset for _, _, offset in refs) == EXPECTED_OFFSETS
 
 
+@pytest.mark.parametrize("entry", [("ZZZ2", "ZZZ", 0), ("ZZOOOZ", "ZZ OOO", 0), ("ZZOOOZ", "ZZZ", 3)])
+def test_corrupted_chain_entry_is_rejected(monkeypatch, entry):
+    # "ZZZ2" + "ZZZ" lacks O, so a strict-superset test of {Z, O} misses its 2
+    monkeypatch.setattr(words, "REFERENCE_CHAIN", (entry,) + words.REFERENCE_CHAIN[1:])
+    with pytest.raises(RuntimeError, match="reference chain entry is corrupted"):
+        words._verify_constants()
+
+
+def test_foreign_symbol_in_a_constant_is_rejected_before_its_checksum(monkeypatch):
+    name, word, length, digest = words._EXPECTED[0]
+    corrupted = ((name, word.replace("0", "2"), length, digest),) + words._EXPECTED[1:]
+    monkeypatch.setattr(words, "_EXPECTED", corrupted)
+    with pytest.raises(RuntimeError, match="embedded constant A is corrupted"):
+        words._verify_constants()
+
+
 def test_step_soundness_against_simulation(chain):
     # every certificate commutes with direct simulation for small powers
     for cert in chain.step_certificates:
