@@ -340,7 +340,11 @@ class ConditionReport(NamedTuple):
 
 def check_conditions(rows: Block, provenance: Optional[Provenance] = None) -> ConditionReport:
     """Evaluate the four conditions; creation provenance may count zero extensions."""
-    validate_block(rows)
+    return _conditions(validate_block(rows), provenance)
+
+
+def _conditions(rows: Block, provenance: Optional[Provenance]) -> ConditionReport:
+    # For blocks already known to be valid, such as those ``search`` builds.
     return ConditionReport(
         cond_i=provenance is not None and provenance.seed is not None,
         cond_ii=rows[0] == rows[-1],
@@ -423,7 +427,7 @@ def search(
     while frontier and examined < budget:
         rows, provenance = frontier.popleft()
         examined += 1
-        report = check_conditions(rows, provenance)
+        report = _conditions(rows, provenance)
         if report.qualifies and rows not in hits:
             hits[rows] = SearchHit(rows, provenance, report)
         try:

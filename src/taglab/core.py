@@ -7,11 +7,13 @@ while ``k <= len(w) // 3`` steps read only symbols of ``w`` itself, they turn
 ``w`` into ``w[3*k:]`` followed by the productions of the sampled symbols
 ``w[0:3*k:3]``, which is one slice, one expansion of the sample and one
 concatenation.  The chunk is then one string, ``w`` followed by that
-expansion, in which the word after ``j`` steps starts at ``3*j``.  Target
-and cycle detection search it for the other word with ``str.find`` and keep
-only hits at a step whose running length (each sampled symbol changes it by
-``len(production) - 3``: -1 for a 0, +1 for a 1) equals the other word's,
-which keeps detection exact.
+expansion, in which the word after ``j`` steps starts at ``3*j``; its
+every-third-symbol view holds step ``j`` at index ``j``.  Target and cycle
+detection search that view for the other word's every-third-symbol prefix
+with ``str.find``, so every hit is a step, and accept a hit whose running
+length (each sampled symbol changes it by ``len(production) - 3``: -1 for a
+0, +1 for a 1) equals the other word's and where the chunk holds the whole
+word, which keeps detection exact.
 """
 
 from __future__ import annotations
@@ -53,9 +55,10 @@ def _expand(sample: str) -> str:
 
     The one expansion of sampled symbols, for ``run`` and ``algebra.pass_output``.
     """
-    # Three replaces are plain copies, several times faster than a translate
-    # whose table maps one symbol to many; 2 parks the zeros.
-    return sample.replace("0", "2").replace("1", _ONE).replace("2", _ZERO)
+    # Replaces are plain copies, several times faster than a translate whose
+    # table maps one symbol to many.  Doubling the zeros adds only 0s, so the
+    # second replace expands exactly the sampled 1s.
+    return sample.replace("0", _ZERO).replace("1", _ONE)
 
 
 class OutcomeKind(enum.Enum):
@@ -94,40 +97,38 @@ def step(word: str) -> str:
     return word[3:] + DEFAULT_PRODUCTION[word[0]]
 
 
-# Length of the prefix of the other word that a chunk is searched for: long
-# enough that few unaligned or wrong-length hits occur, short enough that
-# each search stays cheap.
+# Length of the every-third-symbol prefix of the other word that a chunk's
+# view is searched for: long enough that few wrong-length hits occur, short
+# enough that each search stays cheap.
 _PREFIX = 32
 
 
-def _first_match(full, sampled, size, other, hi):
+def _first_match(full, view, size, other, hi):
     """The first ``j`` in 1..hi at which the chunk ``full`` passes through ``other``.
 
     ``full`` is the chunk's word of ``size`` symbols followed by the expansion
-    of ``sampled``, so the word after ``j`` steps is ``full[3*j:3*j + L]``
-    with ``L = size + j*Δ0 + ones*(Δ1 - Δ0)``, where ``Δ`` is ``_DELTAS`` and
-    ``ones`` counts the 1s among the first ``j`` sampled symbols.  Candidates are the positions
-    where ``other``'s prefix occurs in ``full``; only those at a multiple of
-    3 are steps, and a step matches when ``L == len(other)`` and ``other``
-    starts there.  A length that is off by ``d`` rules out the next
-    ``d // _SPREAD - 1`` steps too.  Returns ``j``, or ``None``.
+    of its sampled symbols, so the word after ``j`` steps is
+    ``full[3*j:3*j + L]`` with ``L = size + j*Δ0 + ones*(Δ1 - Δ0)``, where
+    ``Δ`` is ``_DELTAS`` and ``ones`` counts the 1s among the first ``j``
+    sampled symbols.  ``view`` is ``full[0:3*(hi + _PREFIX):3]`` or longer:
+    its first symbols are the sampled ones, and step ``j`` sits at its index
+    ``j``.  Candidates are the steps where ``view`` holds ``other``'s
+    every-third-symbol prefix; one matches when ``L == len(other)`` and
+    ``other`` starts there in ``full``.  A length that is off by ``d`` rules
+    out the next ``d // _SPREAD - 1`` steps too.  Returns ``j``, or ``None``.
     """
-    needle = other[:_PREFIX]
+    needle = other[0:3 * _PREFIX:3]
     goal = len(other)
-    end = 3 * hi + len(needle)
+    end = hi + len(needle)
     ones = counted = 0
-    at = full.find(needle, 3, end)
-    while at >= 0:
-        j, offset = divmod(at, 3)
-        if offset:
-            at = full.find(needle, 3 * (j + 1), end)
-            continue
-        ones += sampled.count("1", counted, j)
+    j = view.find(needle, 1, end)
+    while j >= 0:
+        ones += view.count("1", counted, j)
         counted = j
         gap = abs(size + j * _DELTAS["0"] + ones * _ONE_EXTRA - goal)
-        if not gap and full.startswith(other, at):
+        if not gap and full.startswith(other, 3 * j):
             return j
-        at = full.find(needle, 3 * (j + max(1, gap // _SPREAD)), end)
+        j = view.find(needle, j + max(1, gap // _SPREAD), end)
     return None
 
 
@@ -138,9 +139,9 @@ def run(word: str, *, budget: int, target: Optional[str] = None) -> RunOutcome:
     raced against a snapshot that is refreshed at exponentially growing
     intervals, so the first match after a refresh yields the exact period.
     Steps are taken in closed-form chunks that end at every snapshot
-    refresh, and each chunk is one string searched for the target and the
-    snapshot (``_first_match``), so the outcome is the one a step-by-step
-    loop gives.
+    refresh, and each chunk's every-third-symbol view is searched for the
+    target and the snapshot (``_first_match``), so the outcome is the one a
+    step-by-step loop gives.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -166,15 +167,19 @@ def run(word: str, *, budget: int, target: Optional[str] = None) -> RunOutcome:
         reach = k * _SPREAD
         near_saved = abs(size - len(saved)) <= reach
         near_target = target is not None and abs(size - target_size) <= reach
+        if near_target or near_saved:
+            # The sampled symbols are the view's first k; the needles reach
+            # at most _PREFIX symbols past the last step.
+            view = sampled + full[3 * k:3 * (k + _PREFIX):3]
         # The target check after the chunk's last step opens the next turn.
         # A target found here always precedes a repeat: every word after
         # the snapshot repeats one that was already compared with it.
         if near_target:
-            j = _first_match(full, sampled, size, target, k - 1)
+            j = _first_match(full, view, size, target, k - 1)
             if j is not None:
                 return RunOutcome(OutcomeKind.TARGET_REACHED, steps + j, target)
         if near_saved:
-            j = _first_match(full, sampled, size, saved, k)
+            j = _first_match(full, view, size, saved, k)
             if j is not None:
                 return RunOutcome(OutcomeKind.CYCLED, steps + j, saved,
                                   cycle_length=steps + j - saved_step)

@@ -20,6 +20,23 @@ def full_pass_simulated(word: str) -> str:
     return word
 
 
+def reference_first_match(full: str, size: int, other: str, hi: int):
+    """The first ``j`` in 1..hi whose word in the chunk ``full`` is ``other``.
+
+    ``full`` is a word of ``size`` symbols followed by the productions of its
+    symbols at the first steps; the word after ``j`` steps starts at
+    ``3*j`` and its length changes by ``len(production) - 3`` for each symbol
+    read.  This is the reference that ``core._first_match`` is checked
+    against.  Returns ``j``, or ``None``.
+    """
+    length = size
+    for j in range(1, hi + 1):
+        length += len(DEFAULT_PRODUCTION[full[3 * (j - 1)]]) - 3
+        if length == len(other) and full[3 * j:].startswith(other):
+            return j
+    return None
+
+
 def reference_candidates(row: str, max_suffix: int) -> list[str]:
     """Try every suffix up to the longest that can qualify, and lower each.
 

@@ -520,6 +520,9 @@ def test_search_finds_qualifying_blocks(exhaustive_search):
     for hit in exhaustive_search.hits:
         assert hit.report.qualifies
         assert hit.report.cond_i
+        # search skips row validation on the blocks it builds; the public
+        # check validates them and must report the same
+        assert check_conditions(hit.rows, hit.provenance) == hit.report
 
 
 def test_search_agrees_with_unpruned_oracle(exhaustive_search):

@@ -1,5 +1,7 @@
 """Simulation engine: steps, runs, cycle detection, token round trips."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +9,8 @@ from taglab import words
 from taglab.core import (
     _PREFIX,
     DEFAULT_PRODUCTION,
+    _expand,
+    _first_match,
     NotTokenizable,
     OutcomeKind,
     RunOutcome,
@@ -17,6 +21,8 @@ from taglab.core import (
     run,
     step,
 )
+
+from reference import reference_first_match
 
 binary_words = st.text(alphabet="01")
 
@@ -163,9 +169,12 @@ def run_cases(draw):
     target = orbit_word(word, max(depth, 0))
     if kind == "flipped" and target:
         target = flip(target, draw(st.integers(0, len(target) - 1)))
-    if kind == "tail-flipped" and len(target) > _PREFIX:
-        # the prefix still matches, so only the full compare can reject it
-        target = flip(target, draw(st.integers(_PREFIX, len(target) - 1)))
+    if kind == "tail-flipped":
+        # a symbol outside the every-third-symbol prefix that the chunk's
+        # view is searched for, so only the full compare can reject it
+        outside = [i for i in range(len(target)) if i % 3 or i >= 3 * _PREFIX]
+        if outside:
+            target = flip(target, draw(st.sampled_from(outside)))
     if kind == "off-grid" and len(target) >= 3:
         target = off_grid(target, draw(st.integers(1, 2)))
     return word, budget, target
@@ -196,7 +205,9 @@ def test_run_agrees_with_reference_run(case):
 # compare.  An off-grid target occurs in the chunk between two steps; a
 # run of zeros puts a prefix hit just before a real match; the cycle of
 # 001101 closes at the last step of a chunk of k steps that starts exactly
-# k symbols away from the snapshot's length.
+# k symbols away from the snapshot's length, and that of (001101)^18 closes at
+# the last step of a chunk, where a snapshot longer than 3 * _PREFIX needs
+# the chunk's view to reach _PREFIX steps past it.
 PINNED_RUNS = [
     ("0" * 3000, "0" * 1000, 5000),
     ("0" * 3000, "0" * 999 + "1", 5000),
@@ -207,6 +218,7 @@ PINNED_RUNS = [
     ("01" * 45, off_grid(orbit_word("01" * 45, 29), 2), 1000),
     ("1001110100000101001110101100101001100100010010111111011", "0" * 9, 1000),
     ("001101", None, 100),
+    ("001101" * 18, None, 100),
 ]
 
 
@@ -215,6 +227,113 @@ def test_run_agrees_with_reference_run_on_pinned_cases(word, target, budget):
     assert run(word, budget=budget, target=target) == reference_run(
         word, budget=budget, target=target
     )
+
+
+def test_expand_matches_productions_on_every_short_word():
+    for length in range(13):
+        for symbols in itertools.product("01", repeat=length):
+            sample = "".join(symbols)
+            assert _expand(sample) == "".join(DEFAULT_PRODUCTION[c] for c in sample)
+
+
+def chunk(word, k):
+    """``word`` followed by the productions of the symbols its first ``k`` steps read."""
+    return word + "".join(DEFAULT_PRODUCTION[c] for c in word[0:3 * k:3])
+
+
+def first_match(word, k, other, hi, extra=0):
+    """``_first_match`` on the chunk of ``k`` steps, with the shortest view it
+    accepts plus ``extra`` steps."""
+    full = chunk(word, k)
+    view = full[0:3 * (hi + _PREFIX + extra):3]
+    return _first_match(full, view, len(word), other, hi)
+
+
+def expect_first_match(word, k, other, hi, extra=0):
+    expected = reference_first_match(chunk(word, k), len(word), other, hi)
+    assert first_match(word, k, other, hi, extra) == expected
+    return expected
+
+
+@st.composite
+def match_cases(draw):
+    """A word, a chunk size, a bound and another word: a step of the chunk,
+    one perturbed, or arbitrary."""
+    if draw(st.booleans()):
+        block = draw(st.text(alphabet="01", min_size=1, max_size=6))
+        word = (block * 300)[:draw(st.integers(3, 400))]
+    else:
+        word = draw(st.text(alphabet="01", min_size=3, max_size=300))
+    k = draw(st.integers(1, len(word) // 3))
+    hi = draw(st.integers(0, k))
+    j = draw(st.integers(0, k))
+    other = orbit_word(word, j)
+    kind = draw(st.sampled_from(["step", "flipped", "shorter", "longer", "off-grid", "arbitrary"]))
+    if kind == "flipped" and other:
+        other = flip(other, draw(st.integers(0, len(other) - 1)))
+    elif kind == "shorter":
+        other = other[:-1]
+    elif kind == "longer":
+        other = chunk(word, k)[3 * j:3 * j + len(other) + 1]
+    elif kind == "off-grid" and len(other) >= 3:
+        other = off_grid(other, draw(st.integers(1, 2)))
+    elif kind == "arbitrary":
+        other = draw(st.text(alphabet="01", max_size=120))
+    return word, k, other, hi, draw(st.integers(0, 3))
+
+
+@given(match_cases())
+@settings(max_examples=400, deadline=None)
+def test_first_match_agrees_with_reference(case):
+    expect_first_match(*case)
+
+
+@pytest.mark.parametrize("block", ["0", "1", "01", "0111", "1000", "10010", "00111"])
+def test_first_match_on_periodic_words(block):
+    # periods 1, 2, 4 and 5 put the needle at most steps and, in the chunk
+    # itself, between steps too; each hit must be rejected by length or by
+    # the full compare, or accepted at the right step
+    word = (block * 300)[:299]
+    k = len(word) // 3
+    found = 0
+    for j in range(0, k + 1, 7):
+        step_word = orbit_word(word, j)
+        for other in (step_word, step_word[:-1], step_word + "0", flip(step_word, -1),
+                      flip(step_word, len(step_word) // 2)):
+            for hi in (1, j - 1, j, k):
+                if hi >= 0:
+                    found += expect_first_match(word, k, other, hi) is not None
+    assert found
+
+
+@pytest.mark.parametrize("other", ["", "0", "1", "00", "01", "10", "11"])
+def test_first_match_on_the_shortest_words(other):
+    # "000" becomes "00" after one step; no step of these chunks is shorter
+    for word in ("000", "100", "000000", "0000000"):
+        expect_first_match(word, len(word) // 3, other, len(word) // 3)
+
+
+@pytest.mark.parametrize("length", [3 * _PREFIX - 1, 3 * _PREFIX, 3 * _PREFIX + 1])
+def test_first_match_at_the_needle_length(length):
+    # every sampled symbol is 0, so the word after j steps is 140 - j long
+    word = ("001" * 47)[:140]
+    j = 140 - length
+    step_word = orbit_word(word, j)
+    assert first_match(word, 46, step_word, 46) == j
+    for i in (3 * _PREFIX - 3, length - 2, length - 1):
+        assert expect_first_match(word, 46, flip(step_word, i), 46) is None
+    assert first_match(word, 46, step_word, j - 1) is None
+
+
+def test_first_match_with_one_step():
+    for word in ("000", "1101", "0" * 99, "1" * 99):
+        step_word = orbit_word(word, 1)
+        assert first_match(word, 1, step_word, 1) == 1
+        assert first_match(word, len(word) // 3, step_word, 1) == 1
+    for word in ("0" * 99, "1" * 99, "110" * 33):
+        assert first_match(word, 33, orbit_word(word, 2), 1) is None
+    # the chunk's own word is step 0, never a match
+    assert first_match("0" * 99, 33, "0" * 99, 1) is None
 
 
 def test_run_rejects_zero_budget():
