@@ -104,21 +104,12 @@ def _lowerings(word: str) -> list[str]:
     return out
 
 
-class _Memo:
-    """What one search has worked out so far; it is dropped with the search.
-
-    ``steps`` maps (row, carried) to one step of the extension walk,
-    ``candidates`` maps (row, max_suffix) to the row's extension candidates,
-    and ``lowerings`` maps a working word of initial creation to its
-    converting set.
-    """
-
-    __slots__ = ("steps", "candidates", "lowerings")
-
-    def __init__(self) -> None:
-        self.steps: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
-        self.candidates: dict[tuple[str, int], list[str]] = {}
-        self.lowerings: dict[str, list[str]] = {}
+# A search's two tables: the distinct (lowered, carried) pairs that each
+# first row's candidates open with under a suffix bound, and for each (row,
+# carried) every lowering of row + carried with what it carries to the next
+# row.  Initial creation looks up (empty row, working word) in the latter.
+_Openings = dict[tuple[str, int], set[tuple[str, str]]]
+_Steps = dict[tuple[str, str], tuple[tuple[str, str], ...]]
 
 
 _SEED = re.compile(r"v{0,2}[01]w{0,2}")
@@ -144,30 +135,25 @@ def create_initial_blocks(seed: str, depth: int) -> set[Block]:
         raise InvalidSeed(f"seed must match v{{0,2}}[01]w{{0,2}}, got {seed!r}")
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    return _initial_levels(seed, depth, _Memo())[-1]
+    return _initial_levels(seed, depth, {})[-1]
 
 
-def _initial_levels(seed: str, depth: int, memo: _Memo) -> list[set[Block]]:
-    # Level by level: entry k - 1 holds the blocks of depth k.  Every row of
-    # the language has a literal, so every chosen row expands to a non-empty
-    # working word.
-    known = memo.lowerings
-
-    def lowerings(word: str) -> list[str]:
-        found = known.get(word)
-        if found is None:
-            found = known[word] = _lowerings(word)
-        return found
-
+def _initial_levels(seed: str, depth: int, steps: _Steps) -> list[set[Block]]:
+    # Level by level: entry k - 1 holds the blocks of depth k.  Lowering a
+    # working word is the step from the empty row, which pairs each lowering
+    # with its expansion, the next working word.  Every row of the language
+    # has a literal, so that word is never empty.
     levels: list[set[Block]] = []
     partial: list[tuple[Block, str]] = [((), seed)]
     for _ in range(depth):
         partial = [
-            (rows + (row,), row.translate(_EXPAND))
+            (rows + (row,), following)
             for rows, working in partial
-            for row in lowerings(working)
+            for row, following in _lookup(steps, "", working)
         ]
-        levels.append({rows + (last,) for rows, working in partial for last in lowerings(working)})
+        levels.append(
+            {rows + (last,) for rows, working in partial for last, _ in _lookup(steps, "", working)}
+        )
     return levels
 
 
@@ -179,8 +165,7 @@ def extension_candidates(row: str, max_suffix: int) -> list[str]:
     is lowered: for each length up to the longest that can qualify, the
     suffixes that fit a shape one literal richer form a product of
     per-position symbol sets, and those that also fit another shape are
-    left out.  Nothing is cached: each call computes a fresh list, and a
-    search keeps the lists it has computed in its own memo.
+    left out.  Nothing is cached: each call computes a fresh list.
     """
     if not is_row(row):
         raise ValueError(f"not a member of the row language: {row!r}")
@@ -261,42 +246,48 @@ def extend_right(rows: Block, max_suffix: int) -> set[Block]:
     validate_block(rows)
     if max_suffix < 1:
         raise ValueError("max_suffix must be at least 1")
-    return _extend(rows, max_suffix, _Memo())
+    return _extend(rows, max_suffix, {}, {})
 
 
-def _extend(rows: Block, max_suffix: int, memo: _Memo) -> set[Block]:
+def _extend(rows: Block, max_suffix: int, openings: _Openings, steps: _Steps) -> set[Block]:
+    # Many suffixes lower the first row alike, so the walk starts from the
+    # distinct (lowered, carried) pairs its candidates open with.
     key = (rows[0], max_suffix)
-    candidates = memo.candidates.get(key)
-    if candidates is None:
-        candidates = memo.candidates[key] = _candidates(rows[0], max_suffix)
-    if not candidates:
+    opened = openings.get(key)
+    if opened is None:
+        opened = openings[key] = {
+            pair for suffix in _candidates(rows[0], max_suffix) for pair in _step(rows[0], suffix)
+        }
+    if not opened:
         raise NoExtension(
             f"no suffix of length <= {max_suffix} forces a singleton lowering of {rows[0]!r}"
         )
     last = len(rows) - 1
     if last == 0:
         return {rows}
-    steps = memo.steps
     results: set[Block] = set()
-    # Row by row over the distinct branches: many suffixes lower the first
-    # row alike, and branches that agree on the rows rewritten so far and on
-    # the carried suffix have the same continuation, so it is walked once.
-    branches = {((), suffix) for suffix in candidates}
-    for i in range(last):
-        row, below = rows[i], rows[i + 1:]
+    # Row by row over the distinct branches, each the rows rewritten so far
+    # and the suffix carried into the next: branches that agree have the
+    # same continuation, so it is walked once.  A branch ends when nothing
+    # is carried or it reaches the last row, which is never rewritten.
+    branches = {((lowered,), carried) for lowered, carried in opened}
+    for i in range(1, last + 1):
         deeper: set[tuple[Block, str]] = set()
         for acc, carried in branches:
-            step = steps.get((row, carried))
-            if step is None:
-                step = steps[row, carried] = _step(row, carried)
-            for lowered, following in step:
-                # the last row is never rewritten, whatever reaches it
-                if following and i + 1 < last:
+            if not carried or i == last:
+                results.add(acc + rows[i:])
+            else:
+                for lowered, following in _lookup(steps, rows[i], carried):
                     deeper.add((acc + (lowered,), following))
-                else:
-                    results.add(acc + (lowered,) + below)
         branches = deeper
     return results
+
+
+def _lookup(steps: _Steps, row: str, carried: str) -> tuple[tuple[str, str], ...]:
+    step = steps.get((row, carried))
+    if step is None:
+        step = steps[row, carried] = _step(row, carried)
+    return step
 
 
 def _step(row: str, carried: str) -> tuple[tuple[str, str], ...]:
@@ -392,10 +383,11 @@ def search(
     duplicates and provably closure-dead blocks are dropped when generated
     and never consume budget.  Results are canonically ordered.
 
-    The search keeps one memo of extension-walk steps, extension candidates
-    and initial-creation lowerings, shared by all its blocks and dropped
-    when it returns; the same (row, carried suffix) step recurs across many
-    blocks, so most steps are looked up rather than computed.
+    The search keeps two tables, shared by all its blocks and dropped when
+    it returns: the distinct openings of each first row, and the steps of
+    the walks, which initial creation shares.  The same (row, carried
+    suffix) step recurs across many blocks, so most steps are looked up
+    rather than computed.
 
     ``threads`` must be at least 1 but selects nothing: the search runs in
     the calling thread, because the examinations are pure Python and a
@@ -409,12 +401,13 @@ def search(
         raise ValueError("threads must be at least 1")
     if max_suffix < 1:
         raise ValueError("max_suffix must be at least 1")
-    memo = _Memo()
+    openings: _Openings = {}
+    steps: _Steps = {}
     frontier: deque[tuple[Block, Provenance]] = deque()
     seen: set[Block] = set()
     duplicates = 0
     for seed in INITIAL_SEEDS:
-        for level in _initial_levels(seed, max_rows - 1, memo):
+        for level in _initial_levels(seed, max_rows - 1, steps):
             for rows in sorted(level, key=block_key):
                 if rows in seen:
                     duplicates += 1
@@ -431,7 +424,7 @@ def search(
         if report.qualifies and rows not in hits:
             hits[rows] = SearchHit(rows, provenance, report)
         try:
-            children = _extend(rows, max_suffix, memo)
+            children = _extend(rows, max_suffix, openings, steps)
         except NoExtension:
             children = set()
         child_provenance = Provenance(provenance.seed, provenance.extensions + 1)

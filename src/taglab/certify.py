@@ -15,7 +15,6 @@ code.
 
 from __future__ import annotations
 
-from functools import cache
 from typing import NamedTuple
 
 from taglab import words
@@ -175,7 +174,6 @@ def direct_growth_check(n: int, m: int, budget: int = 200_000) -> RunOutcome:
     return run(start, budget=budget, target=target)
 
 
-@cache
 def reference_vectors() -> tuple[tuple[str, str, int], ...]:
     """The embedded expected (left, right, offset) for all 14 chain stages."""
     return tuple(
@@ -196,7 +194,7 @@ def reference_mismatches(chain: ChainCertificate) -> list[str]:
     return problems
 
 
-def certificate_problems(chain: ChainCertificate, require_reference: bool = True) -> list[str]:
+def certificate_problems(chain: ChainCertificate) -> list[str]:
     """Every failed or inconsistent condition in the certificate, empty if sound."""
     problems = []
     for i, cert in enumerate(chain.step_certificates, start=1):
@@ -218,8 +216,7 @@ def certificate_problems(chain: ChainCertificate, require_reference: bool = True
         problems.append("closure_ok: stored flag disagrees with recomputation")
     elif not closure_actual:
         problems.append("closure_ok: fail")
-    if require_reference:
-        problems.extend(reference_mismatches(chain))
+    problems.extend(reference_mismatches(chain))
     return problems
 
 

@@ -10,12 +10,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING
 
 # Each subcommand imports the taglab modules it uses when it runs, so a
 # process loads only those; importing this module loads none of them.
-if TYPE_CHECKING:
-    from taglab import certify
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -91,7 +88,8 @@ def _cmd_verify_theorem(args) -> int:
     return EXIT_OK if all_reached else EXIT_BUDGET
 
 
-def _perturbed_seed(args) -> certify.Quadruplet:
+def _perturbed_seed(args):
+    """The paper's seed quadruplet with the --flip-a and --seed-x edits applied."""
     from taglab import certify
 
     seed = certify.seed_quadruplet()

@@ -26,7 +26,7 @@ from taglab.blocks import (
     row_key,
     search,
 )
-from taglab.blocks import _extend, _initial_levels, _Memo
+from taglab.blocks import _extend, _initial_levels
 
 from reference import reference_candidates
 
@@ -331,10 +331,11 @@ def test_initial_blocks_structure():
 
 
 def test_initial_blocks_match_recursive_reference():
-    # one memo for every seed, as in a search, so a warm memo is covered too
-    memo = _Memo()
+    # one steps table for every seed, as in a search, so a warm table is
+    # covered too
+    steps = {}
     for seed in INITIAL_SEEDS:
-        levels = _initial_levels(seed, 4, memo)
+        levels = _initial_levels(seed, 4, steps)
         assert len(levels) == 4
         for depth, level in enumerate(levels, start=1):
             expected = recursive_initial_blocks(seed, depth)
@@ -412,10 +413,23 @@ def test_extension_matches_replay_on_search_blocks(case):
 @given(st.lists(search_blocks(), min_size=2, max_size=8))
 @settings(deadline=None)
 def test_a_warm_memo_changes_no_extension(cases):
-    memo = _Memo()
+    # the two tables a search shares across blocks of any suffix bound
+    openings, steps = {}, {}
     for rows, max_suffix in cases:
-        shared = extension_outcome(lambda *args: _extend(*args, memo), rows, max_suffix)
+        shared = extension_outcome(lambda *args: _extend(*args, openings, steps), rows, max_suffix)
         assert shared == extension_outcome(extend_right, rows, max_suffix)
+
+
+def test_extension_walks_each_distinct_opening_once():
+    # eight suffixes of at most two symbols qualify for the first row 1w, but
+    # they open it in only two ways: 00, 10, u0 and w0 all give ("1uu0", "00")
+    rows = ("1w", "v1ww", "1uu1")
+    expected = replay_extension(rows, 2)
+    assert extend_right(rows, 2) == expected
+    openings = {}
+    assert _extend(rows, 2, openings, {}) == expected
+    assert extension_candidates("1w", 2) == ["00", "01", "10", "11", "u0", "u1", "w0", "w1"]
+    assert openings == {("1w", 2): {("1uu0", "00"), ("1uu1", "1101")}}
 
 
 def test_extension_without_candidates_raises():
@@ -552,7 +566,7 @@ def test_search_duplicates_do_not_consume_budget():
 
 
 def test_search_leaves_nothing_behind():
-    # the search's memo lives and dies with the call
+    # the search's two tables live and die with the call
     search(2, 50)
     tracemalloc.start()
     try:
@@ -587,6 +601,7 @@ PINNED_CENSUSES = [
     (4, 2000, 3, "c73f544ae8ffe965cbeaa36f9af725540fb5df65c304f5bfea5aa0a9396a8ae3", 738, 1149, 2),
     (4, 2000, 4, "b21f5259eb5ec5d57f4b337153b6d1d0b3eaf7f591c5a712cd29bbf170b623be", 1068, 2274, 2),
     (5, 20000, 4, "f5d26fdc5adaa5a9844755f182aab61055c334d311fb700f73a9e1071ad13a8b", 5540, 12982, 3),
+    (6, 100000, 4, "3e83d316a76e8b097442e65094ecff8833986f9c6ba54fce37c5f24326795c34", 27281, 68570, 5),
 ]
 
 
