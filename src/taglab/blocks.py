@@ -15,9 +15,7 @@ bounded search at the bottom of this module looks for.
 from __future__ import annotations
 
 import itertools
-import re
-from collections import deque
-from typing import NamedTuple, Optional
+from collections import deque, namedtuple
 
 from taglab.core import DEFAULT_PRODUCTION
 
@@ -53,13 +51,10 @@ def block_key(rows: Block) -> tuple[str, ...]:
     return tuple(row.translate(_CANON) for row in rows)
 
 
-_ROW = re.compile(r"v{0,2}[01](uu[01])*w{0,2}")
-
-
 def is_row(word: str) -> bool:
-    """Membership in the row language."""
+    """Membership in the row language: a row is a word in its own converting set."""
     check_block_word(word)
-    return _ROW.fullmatch(word) is not None
+    return word in _lowerings(word)
 
 
 _EXPAND = str.maketrans({**dict.fromkeys("vuw"), **DEFAULT_PRODUCTION})
@@ -112,8 +107,6 @@ _Openings = dict[tuple[str, int], set[tuple[str, str]]]
 _Steps = dict[tuple[str, str], tuple[tuple[str, str], ...]]
 
 
-_SEED = re.compile(r"v{0,2}[01]w{0,2}")
-
 INITIAL_SEEDS = tuple(
     sorted(
         (p + lit + s for p in ("", "v", "vv") for lit in "01" for s in ("", "w", "ww")),
@@ -131,7 +124,7 @@ def create_initial_blocks(seed: str, depth: int) -> set[Block]:
     the block, so results have depth + 1 rows.
     """
     check_block_word(seed)
-    if not _SEED.fullmatch(seed):
+    if seed not in INITIAL_SEEDS:
         raise InvalidSeed(f"seed must match v{{0,2}}[01]w{{0,2}}, got {seed!r}")
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -301,40 +294,28 @@ def _step(row: str, carried: str) -> tuple[tuple[str, str], ...]:
     )
 
 
-class Provenance(NamedTuple):
-    """How a block came to be: its creation seed and extension count."""
+class Provenance(namedtuple("Provenance", "seed extensions", defaults=(0,))):
+    """How a block came to be: its creation seed (or None) and extension count."""
 
-    seed: Optional[str]
-    extensions: int = 0
+    __slots__ = ()
 
 
-class ConditionReport(NamedTuple):
+class ConditionReport(namedtuple("ConditionReport", "cond_i cond_ii cond_iii cond_iv")):
     """The four acceptance conditions for periodic-evolution candidates."""
 
-    cond_i: bool
-    cond_ii: bool
-    cond_iii: bool
-    cond_iv: bool
+    __slots__ = ()
 
     @property
     def qualifies(self) -> bool:
         return self.cond_ii and self.cond_iii and self.cond_iv
 
-    def items(self):
-        return [
-            ("cond_i", self.cond_i),
-            ("cond_ii", self.cond_ii),
-            ("cond_iii", self.cond_iii),
-            ("cond_iv", self.cond_iv),
-        ]
 
-
-def check_conditions(rows: Block, provenance: Optional[Provenance] = None) -> ConditionReport:
+def check_conditions(rows: Block, provenance: Provenance | None = None) -> ConditionReport:
     """Evaluate the four conditions; creation provenance may count zero extensions."""
     return _conditions(validate_block(rows), provenance)
 
 
-def _conditions(rows: Block, provenance: Optional[Provenance]) -> ConditionReport:
+def _conditions(rows: Block, provenance: Provenance | None) -> ConditionReport:
     # For blocks already known to be valid, such as those ``search`` builds.
     return ConditionReport(
         cond_i=provenance is not None and provenance.seed is not None,
@@ -347,17 +328,8 @@ def _conditions(rows: Block, provenance: Optional[Provenance]) -> ConditionRepor
     )
 
 
-class SearchHit(NamedTuple):
-    rows: Block
-    provenance: Provenance
-    report: ConditionReport
-
-
-class SearchResult(NamedTuple):
-    hits: tuple[SearchHit, ...]
-    examined: int
-    skipped_duplicates: int
-    exhausted: bool
+SearchHit = namedtuple("SearchHit", "rows provenance report")
+SearchResult = namedtuple("SearchResult", "hits examined skipped_duplicates exhausted")
 
 
 def _closure_dead(rows: Block) -> bool:
@@ -455,7 +427,7 @@ def render_search_results(
     for j, hit in enumerate(result.hits, start=1):
         lines.append(f"block.{j}.seed: {hit.provenance.seed or '-'}")
         lines.append(f"block.{j}.extensions: {hit.provenance.extensions}")
-        for name, value in hit.report.items():
+        for name, value in zip(ConditionReport._fields, hit.report):
             lines.append(f"block.{j}.{name}: {'true' if value else 'false'}")
         lines.append(f"block.{j}.rows: {len(hit.rows)}")
         lines.extend(hit.rows)

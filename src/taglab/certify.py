@@ -15,7 +15,7 @@ code.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from taglab import words
 from taglab.algebra import cut, length_residue, pass_output
@@ -30,16 +30,7 @@ class InvariantViolated(Exception):
     """The quadruplet cannot participate in a derivation step."""
 
 
-# Bare fields plus a validating subclass, as for core.RunOutcome: a NamedTuple
-# may not define __new__ in its own body.
-class _QuadrupletFields(NamedTuple):
-    left: str
-    mid: str
-    right: str
-    offset: int
-
-
-class Quadruplet(_QuadrupletFields):
+class Quadruplet(namedtuple("Quadruplet", "left mid right offset")):
     """Three words plus a cut offset describing (left^n mid right^m) truncated."""
 
     __slots__ = ()
@@ -55,39 +46,26 @@ class Quadruplet(_QuadrupletFields):
         return self
 
 
-class StepChecks(NamedTuple):
+class StepChecks(namedtuple("StepChecks", CHECK_NAMES)):
     """Pass/fail record of the side conditions of one derivation step."""
 
-    l_a: bool
-    l_c: bool
-    y_eq: bool
-    d_ok: bool
-    e_ok: bool
-    f_ok: bool
+    __slots__ = ()
 
     @property
     def all_pass(self) -> bool:
-        return all(getattr(self, name) for name in CHECK_NAMES)
-
-    def items(self):
-        return [(name, getattr(self, name)) for name in CHECK_NAMES]
+        return all(self)
 
 
-class StepCertificate(NamedTuple):
-    source: Quadruplet
-    derived: Quadruplet
-    y: int
-    checks: StepChecks
+class StepCertificate(namedtuple("StepCertificate", "source derived y checks")):
+    __slots__ = ()
 
     @property
     def valid(self) -> bool:
         return self.checks.all_pass and self.y == self.derived.offset
 
 
-class ChainCertificate(NamedTuple):
-    quadruplets: tuple[Quadruplet, ...]
-    step_certificates: tuple[StepCertificate, ...]
-    closure_ok: bool
+class ChainCertificate(namedtuple("ChainCertificate", "quadruplets step_certificates closure_ok")):
+    __slots__ = ()
 
     @property
     def valid(self) -> bool:
@@ -199,9 +177,7 @@ def certificate_problems(chain: ChainCertificate) -> list[str]:
     problems = []
     for i, cert in enumerate(chain.step_certificates, start=1):
         expected = recompute_checks(cert.source, cert.derived)
-        for name in CHECK_NAMES:
-            stored = getattr(cert.checks, name)
-            actual = getattr(expected, name)
+        for name, stored, actual in zip(CHECK_NAMES, cert.checks, expected):
             if stored != actual:
                 problems.append(
                     f"step.{i}.checks.{name}: stored flag disagrees with recomputation"
@@ -233,7 +209,7 @@ def render_certificate(chain: ChainCertificate) -> str:
     ]
     for i, cert in enumerate(chain.step_certificates, start=1):
         lines.append(f"step.{i}.y: {cert.y}")
-        for name, value in cert.checks.items():
+        for name, value in zip(CHECK_NAMES, cert.checks):
             lines.append(f"step.{i}.checks.{name}: {'pass' if value else 'fail'}")
         d = cert.derived
         lines.append(f"step.{i}.derived.a: {d.left}")

@@ -19,8 +19,8 @@ word, which keeps detection exact.
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Optional
 
 
 class WordTooShort(Exception):
@@ -40,7 +40,7 @@ def check_word(word: str) -> str:
     return word
 
 
-DEFAULT_PRODUCTION: Mapping[str, str] = MappingProxyType({"0": "00", "1": "1101"})
+DEFAULT_PRODUCTION = MappingProxyType({"0": "00", "1": "1101"})
 
 _ZERO, _ONE = DEFAULT_PRODUCTION["0"], DEFAULT_PRODUCTION["1"]
 # Length change per sampled symbol, and its largest size.
@@ -68,16 +68,7 @@ class OutcomeKind(enum.Enum):
     TARGET_REACHED = "TargetReached"
 
 
-# A NamedTuple may not define __new__ in its own body, so the validating
-# constructor lives in a subclass of the bare fields.
-class _RunOutcomeFields(NamedTuple):
-    kind: OutcomeKind
-    steps_taken: int
-    final: str
-    cycle_length: Optional[int] = None
-
-
-class RunOutcome(_RunOutcomeFields):
+class RunOutcome(namedtuple("RunOutcome", "kind steps_taken final cycle_length", defaults=(None,))):
     """How a run ended: its kind, step count, final word and, for a cycle, its period."""
 
     __slots__ = ()
@@ -132,7 +123,7 @@ def _first_match(full, view, size, other, hi):
     return None
 
 
-def run(word: str, *, budget: int, target: Optional[str] = None) -> RunOutcome:
+def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
     """Iterate the tag step until halt, repeat, target, or budget exhaustion.
 
     Repeats are found with constant extra memory: the live configuration is

@@ -14,6 +14,8 @@ from taglab.blocks import (
     InvalidSeed,
     NoExtension,
     Provenance,
+    SearchHit,
+    SearchResult,
     block_key,
     check_conditions,
     converting_set,
@@ -344,8 +346,13 @@ def test_initial_blocks_match_recursive_reference():
 
 
 def test_initial_blocks_reject_bad_seed():
-    with pytest.raises(InvalidSeed):
-        create_initial_blocks("w1", 3)
+    # every word up to length 5, the longest a seed has, outside the seeds'
+    # language
+    for length in range(6):
+        for word in map("".join, itertools.product("vuw01", repeat=length)):
+            if not re.fullmatch(r"v{0,2}[01]w{0,2}", word):
+                with pytest.raises(InvalidSeed, match=r"seed must match v\{0,2\}\[01\]w\{0,2\}"):
+                    create_initial_blocks(word, 3)
     with pytest.raises(ValueError):
         create_initial_blocks("v1w", 0)
 
@@ -594,6 +601,19 @@ def test_search_document_rendering(exhaustive_search):
     for hit in exhaustive_search.hits:
         for row in hit.rows:
             assert row in lines
+    # search hits meet all four conditions; a hand-made one without a seed
+    # shows that each value is rendered under its own name
+    rows = ("1uu1uu0w", "v1uu1uu1ww", "1uu1uu0uu1ww", "1uu1uu0w")
+    hit = SearchHit(rows, Provenance(None), check_conditions(rows))
+    lines = render_search_results(SearchResult((hit,), 1, 0, True), 4, 1, 4).splitlines()
+    assert lines[7:13] == [
+        "block.1.seed: -",
+        "block.1.extensions: 0",
+        "block.1.cond_i: false",
+        "block.1.cond_ii: true",
+        "block.1.cond_iii: true",
+        "block.1.cond_iv: true",
+    ]
 
 
 PINNED_CENSUSES = [
@@ -622,6 +642,6 @@ def test_census_documents_are_pinned(
         found,
     )
     # every hit also carries creation provenance, so all four conditions hold
-    assert all(value for hit in result.hits for _, value in hit.report.items())
+    assert all(all(hit.report) for hit in result.hits)
     doc = render_search_results(result, max_rows, budget, max_suffix)
     assert hashlib.sha256(doc.encode()).hexdigest() == digest

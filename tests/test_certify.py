@@ -1,5 +1,7 @@
 """Growth-chain certification: derivations, closure, reference agreement, documents."""
 
+import hashlib
+
 import pytest
 
 from taglab import words
@@ -7,6 +9,7 @@ from taglab.algebra import cut, full_pass_algebraic
 from taglab.certify import (
     InvariantViolated,
     Quadruplet,
+    StepChecks,
     certificate_problems,
     derive_next,
     direct_growth_check,
@@ -57,6 +60,15 @@ def test_chain_certifies(chain):
     assert all(cert.valid for cert in chain.step_certificates)
     assert chain.closure_ok
     assert chain.valid
+
+
+@pytest.mark.parametrize("failing", range(6))
+def test_one_failed_check_fails_the_step(chain, failing):
+    flags = [True] * 6
+    flags[failing] = False
+    checks = StepChecks(*flags)
+    assert not checks.all_pass
+    assert not chain.step_certificates[0]._replace(checks=checks).valid
 
 
 def test_chain_closure_is_exact_word_equality(chain):
@@ -212,6 +224,11 @@ def test_certificate_document_round_trip(chain):
     assert certificate_problems(parsed) == []
 
 
+def test_certificate_document_is_pinned(chain):
+    digest = hashlib.sha256(render_certificate(chain).encode()).hexdigest()
+    assert digest == "313984f77be6091cbb917edbcbf69f5f9750937ab3b6dc96f40e7983ad48c66e"
+
+
 def test_certificate_parse_rejects_malformed_documents(chain):
     text = render_certificate(chain)
     with pytest.raises(ValueError):
@@ -235,7 +252,7 @@ def test_certificate_problems_catch_word_tampering(chain):
     tampered = parse_certificate("".join(lines))
     problems = certificate_problems(tampered)
     assert any("step.3" in p or "reference" in p for p in problems)
-    assert problems != []
+    assert "step.3.checks.d_ok: stored flag disagrees with recomputation" in problems
 
 
 def test_certificate_problems_catch_flag_tampering(chain):
@@ -244,4 +261,4 @@ def test_certificate_problems_catch_flag_tampering(chain):
         text.replace("step.5.checks.y_eq: pass", "step.5.checks.y_eq: fail", 1)
     )
     problems = certificate_problems(tampered)
-    assert any("step.5.checks.y_eq" in p for p in problems)
+    assert "step.5.checks.y_eq: stored flag disagrees with recomputation" in problems
