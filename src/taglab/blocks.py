@@ -14,6 +14,7 @@ bounded search at the bottom of this module looks for.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque, namedtuple
 
@@ -99,14 +100,6 @@ def _lowerings(word: str) -> list[str]:
     return out
 
 
-# A search's two tables: the distinct (lowered, carried) pairs that each
-# first row's candidates open with under a suffix bound, and for each (row,
-# carried) every lowering of row + carried with what it carries to the next
-# row.  Initial creation looks up (empty row, working word) in the latter.
-_Openings = dict[tuple[str, int], set[tuple[str, str]]]
-_Steps = dict[tuple[str, str], tuple[tuple[str, str], ...]]
-
-
 INITIAL_SEEDS = tuple(
     sorted(
         (p + lit + s for p in ("", "v", "vv") for lit in "01" for s in ("", "w", "ww")),
@@ -128,26 +121,25 @@ def create_initial_blocks(seed: str, depth: int) -> set[Block]:
         raise InvalidSeed(f"seed must match v{{0,2}}[01]w{{0,2}}, got {seed!r}")
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    return _initial_levels(seed, depth, {})[-1]
+    return _initial_levels(seed, depth, _step)[-1]
 
 
-def _initial_levels(seed: str, depth: int, steps: _Steps) -> list[set[Block]]:
-    # Level by level: entry k - 1 holds the blocks of depth k.  Lowering a
-    # working word is the step from the empty row, which pairs each lowering
-    # with its expansion, the next working word.  Every row of the language
-    # has a literal, so that word is never empty.
+def _initial_levels(seed: str, depth: int, step) -> list[set[Block]]:
+    # Level by level: entry k - 1 holds the blocks of depth k, the rows of
+    # the partial blocks after k + 1 lowerings.  Lowering a working word is
+    # the step from the empty row, which pairs each lowering with its
+    # expansion, the next working word.  Every row of the language has a
+    # literal, so that word is never empty.
     levels: list[set[Block]] = []
     partial: list[tuple[Block, str]] = [((), seed)]
-    for _ in range(depth):
+    for _ in range(depth + 1):
         partial = [
             (rows + (row,), following)
             for rows, working in partial
-            for row, following in _lookup(steps, "", working)
+            for row, following in step("", working)
         ]
-        levels.append(
-            {rows + (last,) for rows, working in partial for last, _ in _lookup(steps, "", working)}
-        )
-    return levels
+        levels.append({rows for rows, _ in partial})
+    return levels[1:]
 
 
 def extension_candidates(row: str, max_suffix: int) -> list[str]:
@@ -239,18 +231,13 @@ def extend_right(rows: Block, max_suffix: int) -> set[Block]:
     validate_block(rows)
     if max_suffix < 1:
         raise ValueError("max_suffix must be at least 1")
-    return _extend(rows, max_suffix, {}, {})
+    return _extend(rows, max_suffix, _opening, _step)
 
 
-def _extend(rows: Block, max_suffix: int, openings: _Openings, steps: _Steps) -> set[Block]:
+def _extend(rows: Block, max_suffix: int, opening, step) -> set[Block]:
     # Many suffixes lower the first row alike, so the walk starts from the
     # distinct (lowered, carried) pairs its candidates open with.
-    key = (rows[0], max_suffix)
-    opened = openings.get(key)
-    if opened is None:
-        opened = openings[key] = {
-            pair for suffix in _candidates(rows[0], max_suffix) for pair in _step(rows[0], suffix)
-        }
+    opened = opening(rows[0], max_suffix)
     if not opened:
         raise NoExtension(
             f"no suffix of length <= {max_suffix} forces a singleton lowering of {rows[0]!r}"
@@ -270,17 +257,16 @@ def _extend(rows: Block, max_suffix: int, openings: _Openings, steps: _Steps) ->
             if not carried or i == last:
                 results.add(acc + rows[i:])
             else:
-                for lowered, following in _lookup(steps, rows[i], carried):
+                for lowered, following in step(rows[i], carried):
                     deeper.add((acc + (lowered,), following))
         branches = deeper
     return results
 
 
-def _lookup(steps: _Steps, row: str, carried: str) -> tuple[tuple[str, str], ...]:
-    step = steps.get((row, carried))
-    if step is None:
-        step = steps[row, carried] = _step(row, carried)
-    return step
+def _opening(row: str, max_suffix: int) -> set[tuple[str, str]]:
+    # The distinct (lowered, carried) pairs that the candidates of a first
+    # row open with under a suffix bound.
+    return {pair for suffix in _candidates(row, max_suffix) for pair in _step(row, suffix)}
 
 
 def _step(row: str, carried: str) -> tuple[tuple[str, str], ...]:
@@ -355,11 +341,12 @@ def search(
     duplicates and provably closure-dead blocks are dropped when generated
     and never consume budget.  Results are canonically ordered.
 
-    The search keeps two tables, shared by all its blocks and dropped when
-    it returns: the distinct openings of each first row, and the steps of
-    the walks, which initial creation shares.  The same (row, carried
-    suffix) step recurs across many blocks, so most steps are looked up
-    rather than computed.
+    The search wraps two functions in ``functools.cache``, shared by all its
+    blocks and dropped when it returns: the distinct openings of each first
+    row, and the steps of the walks, which initial creation shares.  The
+    same (row, carried suffix) step recurs across many blocks, so most steps
+    are looked up rather than computed.  Initial blocks and extensions are
+    admitted alike, and a block offered again counts as a skipped duplicate.
 
     ``threads`` must be at least 1 but selects nothing: the search runs in
     the calling thread, because the examinations are pure Python and a
@@ -373,42 +360,40 @@ def search(
         raise ValueError("threads must be at least 1")
     if max_suffix < 1:
         raise ValueError("max_suffix must be at least 1")
-    openings: _Openings = {}
-    steps: _Steps = {}
+    opening = functools.cache(_opening)
+    step = functools.cache(_step)
     frontier: deque[tuple[Block, Provenance]] = deque()
     seen: set[Block] = set()
-    duplicates = 0
-    for seed in INITIAL_SEEDS:
-        for level in _initial_levels(seed, max_rows - 1, steps):
-            for rows in sorted(level, key=block_key):
-                if rows in seen:
-                    duplicates += 1
-                    continue
+    offered = 0
+
+    def admit(blocks: set[Block], provenance: Provenance) -> None:
+        nonlocal offered
+        offered += len(blocks)
+        for rows in sorted(blocks, key=block_key):
+            if rows not in seen:
                 seen.add(rows)
                 if not _closure_dead(rows):
-                    frontier.append((rows, Provenance(seed, 0)))
-    hits: dict[Block, SearchHit] = {}
+                    frontier.append((rows, provenance))
+
+    for seed in INITIAL_SEEDS:
+        for level in _initial_levels(seed, max_rows - 1, step):
+            admit(level, Provenance(seed, 0))
+    # no block enters the frontier twice, so no block is a hit twice
+    hits: list[SearchHit] = []
     examined = 0
     while frontier and examined < budget:
         rows, provenance = frontier.popleft()
         examined += 1
         report = _conditions(rows, provenance)
-        if report.qualifies and rows not in hits:
-            hits[rows] = SearchHit(rows, provenance, report)
+        if report.qualifies:
+            hits.append(SearchHit(rows, provenance, report))
         try:
-            children = _extend(rows, max_suffix, openings, steps)
+            children = _extend(rows, max_suffix, opening, step)
         except NoExtension:
-            children = set()
-        child_provenance = Provenance(provenance.seed, provenance.extensions + 1)
-        for child in sorted(children, key=block_key):
-            if child in seen:
-                duplicates += 1
-                continue
-            seen.add(child)
-            if not _closure_dead(child):
-                frontier.append((child, child_provenance))
-    ordered = tuple(sorted(hits.values(), key=lambda hit: block_key(hit.rows)))
-    return SearchResult(ordered, examined, duplicates, exhausted=not frontier)
+            continue
+        admit(children, Provenance(provenance.seed, provenance.extensions + 1))
+    ordered = tuple(sorted(hits, key=lambda hit: block_key(hit.rows)))
+    return SearchResult(ordered, examined, offered - len(seen), exhausted=not frontier)
 
 
 def render_search_results(

@@ -198,26 +198,22 @@ def certificate_problems(chain: ChainCertificate) -> list[str]:
 
 def render_certificate(chain: ChainCertificate) -> str:
     """Serialize a chain certificate to the line-oriented document format."""
-    seed = chain.quadruplets[0]
     lines = [
         f"version: {DOCUMENT_VERSION}",
-        f"seed.a: {seed.left}",
-        f"seed.b: {seed.mid}",
-        f"seed.c: {seed.right}",
-        f"seed.x: {seed.offset}",
+        *_quadruplet_lines("seed", chain.quadruplets[0]),
         f"steps: {len(chain.step_certificates)}",
     ]
     for i, cert in enumerate(chain.step_certificates, start=1):
         lines.append(f"step.{i}.y: {cert.y}")
         for name, value in zip(CHECK_NAMES, cert.checks):
             lines.append(f"step.{i}.checks.{name}: {'pass' if value else 'fail'}")
-        d = cert.derived
-        lines.append(f"step.{i}.derived.a: {d.left}")
-        lines.append(f"step.{i}.derived.b: {d.mid}")
-        lines.append(f"step.{i}.derived.c: {d.right}")
-        lines.append(f"step.{i}.derived.x: {d.offset}")
+        lines.extend(_quadruplet_lines(f"step.{i}.derived", cert.derived))
     lines.append(f"closure_ok: {'true' if chain.closure_ok else 'false'}")
     return "\n".join(lines) + "\n"
+
+
+def _quadruplet_lines(prefix: str, q: Quadruplet) -> list[str]:
+    return [f"{prefix}.{key}: {value}" for key, value in zip("abcx", q)]
 
 
 def _entry(data: dict, key: str) -> str:
@@ -232,6 +228,11 @@ def _flag(data: dict, key: str) -> bool:
     if value not in ("pass", "fail"):
         raise ValueError(f"{key!r} must be pass or fail, got {value!r}")
     return value == "pass"
+
+
+def _quadruplet(data: dict, prefix: str) -> Quadruplet:
+    left, mid, right, offset = [_entry(data, f"{prefix}.{key}") for key in "abcx"]
+    return Quadruplet(left, mid, right, int(offset))
 
 
 def parse_certificate(text: str) -> ChainCertificate:
@@ -250,26 +251,15 @@ def parse_certificate(text: str) -> ChainCertificate:
         data[key] = value
     if _entry(data, "version") != DOCUMENT_VERSION:
         raise ValueError(f"unsupported certificate version {data['version']!r}")
-    seed = Quadruplet(
-        _entry(data, "seed.a"),
-        _entry(data, "seed.b"),
-        _entry(data, "seed.c"),
-        int(_entry(data, "seed.x")),
-    )
+    quadruplets = [_quadruplet(data, "seed")]
     steps = int(_entry(data, "steps"))
-    quadruplets = [seed]
     certificates = []
     for i in range(1, steps + 1):
         y = int(_entry(data, f"step.{i}.y"))
         checks = StepChecks(
             **{name: _flag(data, f"step.{i}.checks.{name}") for name in CHECK_NAMES}
         )
-        derived = Quadruplet(
-            _entry(data, f"step.{i}.derived.a"),
-            _entry(data, f"step.{i}.derived.b"),
-            _entry(data, f"step.{i}.derived.c"),
-            int(_entry(data, f"step.{i}.derived.x")),
-        )
+        derived = _quadruplet(data, f"step.{i}.derived")
         certificates.append(StepCertificate(quadruplets[-1], derived, y, checks))
         quadruplets.append(derived)
     closure_value = _entry(data, "closure_ok")

@@ -1,5 +1,6 @@
 """Row language, converting sets, block construction, and the bounded search."""
 
+import functools
 import gc
 import hashlib
 import itertools
@@ -28,7 +29,7 @@ from taglab.blocks import (
     row_key,
     search,
 )
-from taglab.blocks import _extend, _initial_levels
+from taglab.blocks import _extend, _initial_levels, _opening, _step
 
 from reference import reference_candidates
 
@@ -333,11 +334,11 @@ def test_initial_blocks_structure():
 
 
 def test_initial_blocks_match_recursive_reference():
-    # one steps table for every seed, as in a search, so a warm table is
+    # one cached step for every seed, as in a search, so a warm cache is
     # covered too
-    steps = {}
+    step = functools.cache(_step)
     for seed in INITIAL_SEEDS:
-        levels = _initial_levels(seed, 4, steps)
+        levels = _initial_levels(seed, 4, step)
         assert len(levels) == 4
         for depth, level in enumerate(levels, start=1):
             expected = recursive_initial_blocks(seed, depth)
@@ -420,10 +421,10 @@ def test_extension_matches_replay_on_search_blocks(case):
 @given(st.lists(search_blocks(), min_size=2, max_size=8))
 @settings(deadline=None)
 def test_a_warm_memo_changes_no_extension(cases):
-    # the two tables a search shares across blocks of any suffix bound
-    openings, steps = {}, {}
+    # the two caches a search shares across blocks of any suffix bound
+    opening, step = functools.cache(_opening), functools.cache(_step)
     for rows, max_suffix in cases:
-        shared = extension_outcome(lambda *args: _extend(*args, openings, steps), rows, max_suffix)
+        shared = extension_outcome(lambda *args: _extend(*args, opening, step), rows, max_suffix)
         assert shared == extension_outcome(extend_right, rows, max_suffix)
 
 
@@ -433,10 +434,11 @@ def test_extension_walks_each_distinct_opening_once():
     rows = ("1w", "v1ww", "1uu1")
     expected = replay_extension(rows, 2)
     assert extend_right(rows, 2) == expected
-    openings = {}
-    assert _extend(rows, 2, openings, {}) == expected
+    opening = functools.cache(_opening)
+    assert _extend(rows, 2, opening, _step) == expected
     assert extension_candidates("1w", 2) == ["00", "01", "10", "11", "u0", "u1", "w0", "w1"]
-    assert openings == {("1w", 2): {("1uu0", "00"), ("1uu1", "1101")}}
+    assert opening.cache_info().currsize == 1
+    assert opening("1w", 2) == {("1uu0", "00"), ("1uu1", "1101")}
 
 
 def test_extension_without_candidates_raises():
@@ -643,5 +645,7 @@ def test_census_documents_are_pinned(
     )
     # every hit also carries creation provenance, so all four conditions hold
     assert all(all(hit.report) for hit in result.hits)
+    # the search admits each block once, so no two hits share their rows
+    assert len({hit.rows for hit in result.hits}) == len(result.hits)
     doc = render_search_results(result, max_rows, budget, max_suffix)
     assert hashlib.sha256(doc.encode()).hexdigest() == digest

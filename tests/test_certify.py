@@ -114,6 +114,15 @@ def test_foreign_symbol_in_a_constant_is_rejected_before_its_checksum(monkeypatc
         words._verify_constants()
 
 
+def test_flipped_symbol_in_a_constant_fails_its_checksum(monkeypatch):
+    # same length, same alphabet: only the digest can tell
+    name, word, length, digest = words._EXPECTED[0]
+    flipped = word.replace("0", "1", 1)
+    monkeypatch.setattr(words, "_EXPECTED", ((name, flipped, length, digest),) + words._EXPECTED[1:])
+    with pytest.raises(RuntimeError, match="embedded constant A fails its checksum"):
+        words._verify_constants()
+
+
 def test_step_soundness_against_simulation(chain):
     # every certificate commutes with direct simulation for small powers
     for cert in chain.step_certificates:

@@ -315,7 +315,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Run in a fresh interpreter without site, so that only the modules the code
 # under test imports are loaded; prints the exit code, whether dataclasses,
-# pathlib and typing were loaded, and the loaded taglab modules.
+# pathlib, typing and OpenSSL's _hashlib were loaded, and the loaded taglab
+# modules.
 LOADED = """
 import io, sys
 sys.path.insert(0, sys.argv[1])
@@ -329,7 +330,7 @@ else:
     import taglab
     code = None
 print(code, "dataclasses" in sys.modules, "pathlib" in sys.modules, "typing" in sys.modules,
-      *sorted(name for name in sys.modules if name.partition(".")[0] == "taglab"))
+      "_hashlib" in sys.modules, *sorted(name for name in sys.modules if name.partition(".")[0] == "taglab"))
 """
 
 CORE = ["taglab", "taglab.cli", "taglab.core"]
@@ -342,8 +343,8 @@ def loaded_modules(*argv):
     proc = subprocess.run([sys.executable, "-S", "-c", LOADED, str(SRC), *argv],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    code, dataclasses, pathlib, typing, *modules = proc.stdout.split()
-    return code, dataclasses, pathlib, typing, modules
+    code, dataclasses, pathlib, typing, openssl, *modules = proc.stdout.split()
+    return code, dataclasses, pathlib, typing, openssl, modules
 
 
 SUBCOMMAND_RUNS = [
@@ -359,8 +360,8 @@ SUBCOMMAND_RUNS = [
 @pytest.mark.parametrize("command, code, modules", SUBCOMMAND_RUNS,
                          ids=[command.split()[0] for command, _, _ in SUBCOMMAND_RUNS])
 def test_each_subcommand_loads_only_its_modules(command, code, modules):
-    assert loaded_modules(*command.split()) == (code, "False", "False", "False", modules)
+    assert loaded_modules(*command.split()) == (code, "False", "False", "False", "False", modules)
 
 
 def test_importing_the_package_loads_no_submodule():
-    assert loaded_modules() == ("None", "False", "False", "False", ["taglab"])
+    assert loaded_modules() == ("None", "False", "False", "False", "False", ["taglab"])
