@@ -6,6 +6,9 @@ from taglab.algebra import _require_pass_length
 from taglab.blocks import _lowerings, row_key
 from taglab.core import DEFAULT_PRODUCTION, check_word
 
+# RAISES[s] holds every symbol that a lowering turns into s
+RAISES = {"v": "01v", "u": "01wu", "w": "01w", "0": "0", "1": "1"}
+
 
 def full_pass_simulated(word: str) -> str:
     """Run the tag step until every symbol of the input has been deleted.
@@ -54,3 +57,29 @@ def reference_candidates(row: str, max_suffix: int) -> list[str]:
                 found.append(suffix)
     found.sort(key=row_key)
     return found
+
+
+def rows_of_length(n: int) -> list[str]:
+    """Every row of ``n`` symbols, built from its shape ``v^p L (uu L)* w^q``."""
+    return sorted(
+        "v" * p + "uu".join(literals) + "w" * q
+        for p, q in itertools.product(range(3), repeat=2)
+        if n - p - q >= 1 and (n - p - q) % 3 == 1
+        for literals in itertools.product("01", repeat=(n - p - q + 2) // 3)
+    )
+
+
+def raised_converting_sets(n: int) -> dict[str, list[str]]:
+    """Each word of ``n`` symbols that lowers to some row, with those rows.
+
+    Built from the row side: every row is raised symbol by symbol in each
+    way ``RAISES`` allows, so no word is lowered.  This is the table that
+    ``blocks.converting_set`` and ``blocks.is_row`` are checked against.
+    """
+    table = {}
+    for row in rows_of_length(n):
+        for word in map("".join, itertools.product(*(RAISES[s] for s in row))):
+            table.setdefault(word, []).append(row)
+    for rows in table.values():
+        rows.sort()
+    return table

@@ -6,7 +6,6 @@ Run with  pytest tests/test_acceptance.py -v -s  to see every line.
 import contextlib
 import itertools
 import random
-import re
 import time
 
 import pytest
@@ -18,7 +17,7 @@ from taglab.algebra import (
     length_residue,
     pass_output,
 )
-from taglab.blocks import converting_set, create_initial_blocks, row_key
+from taglab.blocks import converting_set, create_initial_blocks, is_row
 from taglab.certify import (
     direct_growth_check,
     reference_mismatches,
@@ -29,7 +28,7 @@ from taglab.certify import (
 from taglab.cli import main
 from taglab.core import OutcomeKind
 
-from reference import full_pass_simulated
+from reference import full_pass_simulated, raised_converting_sets, rows_of_length
 
 EXPECTED_OFFSETS = (0, 1, 0, 2, 1, 0, 1, 0, 1, 2, 0, 0, 1, 0)
 
@@ -107,7 +106,7 @@ def test_criterion_5_residue_identities():
 
 
 def test_criterion_6_converting_sets_exhaustive():
-    with criterion(6, "converting sets match brute force for all words up to length 7"):
+    with criterion(6, "converting sets and rows match raised rows for all words up to length 8"):
         assert converting_set("1uu11100") == ["1uu1uu0w"]
         assert converting_set("v1w0") == ["v1ww"]
         assert converting_set("0000") == ["0uu0", "v0ww", "vv0w"]
@@ -115,26 +114,12 @@ def test_criterion_6_converting_sets_exhaustive():
         assert converting_set("10101") == ["1uu0w", "v0uu1", "vv1ww"]
         assert converting_set("w1v") == []
 
-        language = re.compile(r"v{0,2}[01](uu[01])*w{0,2}")
-        choices = {"0": "0vuw", "1": "1vuw", "w": "wu", "v": "v", "u": "u"}
-        for length in range(8):
-            members_of_length = frozenset(
-                word
-                for word in map("".join, itertools.product("vuw01", repeat=length))
-                if language.fullmatch(word)
-            )
+        for length in range(9):
+            rows = frozenset(rows_of_length(length))
+            table = raised_converting_sets(length)
             for word in map("".join, itertools.product("vuw01", repeat=length)):
-                brute = sorted(
-                    (
-                        cand
-                        for cand in map(
-                            "".join, itertools.product(*(choices[s] for s in word))
-                        )
-                        if cand in members_of_length
-                    ),
-                    key=row_key,
-                )
-                assert converting_set(word) == brute, word
+                assert converting_set(word) == table.get(word, []), word
+                assert is_row(word) == (word in rows), word
 
 
 def test_criterion_7_initial_block_reproduction():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taglab.blocks import (
+    ALPHABET,
     INITIAL_SEEDS,
     InvalidSeed,
     NoExtension,
@@ -31,13 +32,10 @@ from taglab.blocks import (
 )
 from taglab.blocks import _extend, _initial_levels, _opening, _step
 
-from reference import reference_candidates
+from reference import RAISES, reference_candidates
 
 ROW_LANGUAGE = re.compile(r"v{0,2}[01](uu[01])*w{0,2}")
 CHOICES = {"0": "0vuw", "1": "1vuw", "w": "wu", "v": "v", "u": "u"}
-
-# the inverse of CHOICES: RAISES[s] holds every symbol a lowering turns into s
-RAISES = {"v": "01v", "u": "01wu", "w": "01w", "0": "0", "1": "1"}
 
 block_words = st.text(alphabet="vuw01", max_size=9)
 
@@ -194,20 +192,12 @@ def test_membership_rejects_bad_alphabet():
         is_row("0x1")
 
 
-def test_membership_matches_backtracking_recognizer_exhaustively():
-    # every word up to length 8 over the five-symbol alphabet
-    for length in range(9):
-        for word in map("".join, itertools.product("vuw01", repeat=length)):
-            assert is_row(word) == bool(ROW_LANGUAGE.fullmatch(word)), word
-
-
-def test_converting_set_worked_examples():
-    assert converting_set("1uu11100") == ["1uu1uu0w"]
-    assert converting_set("v1w0") == ["v1ww"]
-    assert converting_set("0000") == ["0uu0", "v0ww", "vv0w"]
-    assert converting_set("111") == ["1ww", "v1w", "vv1"]
-    assert converting_set("10101") == ["1uu0w", "v0uu1", "vv1ww"]
-    assert converting_set("w1v") == []
+def test_canonical_order_is_code_point_order():
+    # row_key maps 0 < 1 < u < v < w to abcde, an order that the code points
+    # already have, so a plain sort of rows is the canonical sort
+    assert "".join(sorted(ALPHABET)) == "01uvw"
+    ws = [w for n in range(5) for w in map("".join, itertools.product("vuw01", repeat=n))]
+    assert sorted(ws) == sorted(ws, key=row_key)
 
 
 def test_converting_set_can_be_empty_mid_word():
@@ -220,12 +210,6 @@ def test_converting_set_of_a_long_word():
     # 5105 symbols: one frame per symbol would overflow a recursive walk
     prefix = "1" + "uu1" * 1700
     assert converting_set(prefix + "1000") == [prefix + "uu0w"]
-
-
-def test_converting_set_matches_brute_force_up_to_length_four():
-    for length in range(5):
-        for word in map("".join, itertools.product("vuw01", repeat=length)):
-            assert converting_set(word) == brute_converting_set(word), word
 
 
 def test_pruned_oracle_matches_brute_force_up_to_length_five():
@@ -627,6 +611,12 @@ PINNED_CENSUSES = [
 ]
 
 
+@functools.cache
+def census(max_rows, budget, max_suffix):
+    """One search per pinned census and session, shared by the tests that read it."""
+    return search(max_rows, budget, threads=1, max_suffix=max_suffix)
+
+
 @pytest.mark.parametrize(
     "max_rows, budget, max_suffix, digest, examined, duplicates, found",
     PINNED_CENSUSES,
@@ -636,7 +626,7 @@ PINNED_CENSUSES = [
 def test_census_documents_are_pinned(
     max_rows, budget, max_suffix, digest, examined, duplicates, found
 ):
-    result = search(max_rows, budget, threads=1, max_suffix=max_suffix)
+    result = census(max_rows, budget, max_suffix)
     assert result.exhausted
     assert (result.examined, result.skipped_duplicates, len(result.hits)) == (
         examined,
@@ -649,3 +639,21 @@ def test_census_documents_are_pinned(
     assert len({hit.rows for hit in result.hits}) == len(result.hits)
     doc = render_search_results(result, max_rows, budget, max_suffix)
     assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+
+def test_six_row_census_hits_link_down_to_their_last_row():
+    # In every hit, each row but the last lies in the converting set of the
+    # expansion of the row above it, as in initial creation.  The last row
+    # does too only in the constant blocks.
+    hits = census(6, 100000, 4).hits
+    for hit in hits:
+        pairs = zip(hit.rows, hit.rows[1:])
+        links = [lower in converting_set(expand_literals(upper)) for upper, lower in pairs]
+        assert all(links[:-1]), hit.rows
+        assert links[-1] == (len(set(hit.rows)) == 1), hit.rows
+    # the hit that the 5-row census lacks
+    assert any(
+        len(hit.rows) == 6 and hit.rows[0] == hit.rows[-1] == "1uu1uu0uu1uu0w"
+        and hit.provenance == Provenance("1", 4)
+        for hit in hits
+    )
