@@ -106,6 +106,8 @@ def _perturbed_seed(args):
 def _cmd_verify_omega(args) -> int:
     from taglab import certify
 
+    # stdout carries either the derived document or the verdict line
+    document_on_stdout = False
     if args.check is not None:
         try:
             with open(args.check, encoding="ascii") as handle:
@@ -116,33 +118,28 @@ def _cmd_verify_omega(args) -> int:
         problems = certify.certificate_problems(chain)
         if certify.render_certificate(chain) != text:
             problems.append("document: re-rendering does not reproduce the file")
-        for problem in problems:
-            print(problem, file=sys.stderr)
-        print("certificate ok" if not problems else "certificate FAILED")
-        return EXIT_VERIFY if problems else EXIT_OK
-    try:
-        seed = _perturbed_seed(args)
-    except ValueError as exc:
-        return _fail(str(exc))
-    try:
-        chain = certify.verify_chain(seed)
-    except certify.InvariantViolated as exc:
-        print(f"invariant: {exc}", file=sys.stderr)
-        print("certificate FAILED")
-        return EXIT_VERIFY
-    document = certify.render_certificate(chain)
-    if args.emit is not None:
-        try:
-            with open(args.emit, "w", encoding="ascii") as handle:
-                handle.write(document)
-        except OSError as exc:
-            return _fail(str(exc))
     else:
-        sys.stdout.write(document)
-    problems = certify.certificate_problems(chain)
+        try:
+            chain = certify.verify_chain(_perturbed_seed(args))
+        except ValueError as exc:
+            return _fail(str(exc))
+        except certify.InvariantViolated as exc:
+            problems = [f"invariant: {exc}"]
+        else:
+            document = certify.render_certificate(chain)
+            if args.emit is None:
+                sys.stdout.write(document)
+                document_on_stdout = True
+            else:
+                try:
+                    with open(args.emit, "w", encoding="ascii") as handle:
+                        handle.write(document)
+                except OSError as exc:
+                    return _fail(str(exc))
+            problems = certify.certificate_problems(chain)
     for problem in problems:
         print(problem, file=sys.stderr)
-    if args.emit is not None:
+    if not document_on_stdout:
         print("certificate ok" if not problems else "certificate FAILED")
     return EXIT_VERIFY if problems else EXIT_OK
 
@@ -180,8 +177,7 @@ def _cmd_decode(args) -> int:
 
     try:
         word = _read_word(args.input)
-        binary_input = word != "" and set(word) <= {"0", "1"}
-        if args.to_tokens or binary_input:
+        if set(word) <= {"0", "1"}:
             print(core.encode_tokens(word))
         else:
             print(core.decode_tokens(word))
@@ -228,8 +224,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_block_search)
 
     p = sub.add_parser("decode", help="convert between token and binary forms")
-    p.add_argument("input", help="token word (or binary word with --to-tokens)")
-    p.add_argument("--to-tokens", action="store_true")
+    p.add_argument("input", help="token word, or binary word to encode")
     p.set_defaults(func=_cmd_decode)
 
     return parser

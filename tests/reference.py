@@ -1,10 +1,30 @@
-"""Slow reference implementations that the suite checks the fast paths against."""
+"""Slow reference implementations and pinned data that the suite checks the fast paths against."""
 
 import itertools
 
 from taglab.algebra import _require_pass_length
 from taglab.blocks import _lowerings, row_key
 from taglab.core import DEFAULT_PRODUCTION, check_word
+
+# (left word, right word, cut offset) of the 14 stages of the paper's chain,
+# in token form (Z for 00, O for 1101): the expected data that the derived
+# chain is compared with
+CHAIN_STAGES = (
+    ("ZZOOOZ", "ZZZOOOZZZOOOZZZOOO", 0),
+    ("ZZZOOO", "ZZOOOZZZOOOZZZOOOZ", 1),
+    ("ZZOOOZ", "ZZZOOOZZZOOOZZZOOO", 0),
+    ("ZZZOOO", "ZZZOOOZZZOOOZZZOOO", 2),
+    ("ZZZOOO", "ZZOOOZZZOOOZZZOOOZ", 1),
+    ("ZZOOOZ", "ZZZOOOZZZOOOZZZOOO", 0),
+    ("ZZZOOO", "ZZOOOZZZOOOZZZOOOZ", 1),
+    ("ZZOOOZ", "ZZZOOOZZZOOOZZZOOO", 0),
+    ("ZZZOOO", "ZZOOOZZZOOOZZZOOOZ", 1),
+    ("ZZOOOZ", "ZOOOZZZOOOZZZOOOZZ", 2),
+    ("ZOOOZZ", "ZOOOZZZOOOZZZOOOZZ", 0),
+    ("ZOOOZZ", "ZOOOZZZOOOZZZOOOZZ", 0),
+    ("ZOOOZZ", "ZZOOOZZZOOOZZZOOOZ", 1),
+    ("ZZOOOZ", "ZZZOOOZZZOOOZZZOOO", 0),
+)
 
 # RAISES[s] holds every symbol that a lowering turns into s
 RAISES = {"v": "01v", "u": "01wu", "w": "01w", "0": "0", "1": "1"}

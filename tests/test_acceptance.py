@@ -20,17 +20,14 @@ from taglab.algebra import (
 from taglab.blocks import converting_set, create_initial_blocks, is_row
 from taglab.certify import (
     direct_growth_check,
-    reference_mismatches,
     seed_quadruplet,
     total_pass_iterations,
     verify_chain,
 )
 from taglab.cli import main
-from taglab.core import OutcomeKind
+from taglab.core import OutcomeKind, decode_tokens
 
-from reference import full_pass_simulated, raised_converting_sets, rows_of_length
-
-EXPECTED_OFFSETS = (0, 1, 0, 2, 1, 0, 1, 0, 1, 2, 0, 0, 1, 0)
+from reference import CHAIN_STAGES, full_pass_simulated, raised_converting_sets, rows_of_length
 
 
 @contextlib.contextmanager
@@ -73,8 +70,10 @@ def test_criterion_3_chain_certification():
         assert last == type(last)(
             seed.left, seed.left + seed.mid + seed.right, seed.right, seed.offset
         )
-        assert reference_mismatches(chain) == []
-        assert tuple(q.offset for q in chain.quadruplets) == EXPECTED_OFFSETS
+        assert [(q.left, q.right, q.offset) for q in chain.quadruplets] == [
+            (decode_tokens(left), decode_tokens(right), offset)
+            for left, right, offset in CHAIN_STAGES
+        ]
         assert total_pass_iterations(chain) <= 20000
 
 

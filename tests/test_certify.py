@@ -1,4 +1,4 @@
-"""Growth-chain certification: derivations, closure, reference agreement, documents."""
+"""Growth-chain certification: derivations, closure, pinned stages, documents."""
 
 import hashlib
 
@@ -7,6 +7,7 @@ import pytest
 from taglab import words
 from taglab.algebra import cut, full_pass_algebraic
 from taglab.certify import (
+    CHAIN_STEPS,
     InvariantViolated,
     Quadruplet,
     StepChecks,
@@ -16,18 +17,14 @@ from taglab.certify import (
     instantiate,
     parse_certificate,
     recompute_checks,
-    reference_mismatches,
-    reference_vectors,
     render_certificate,
     seed_quadruplet,
     total_pass_iterations,
     verify_chain,
 )
-from taglab.core import OutcomeKind
+from taglab.core import OutcomeKind, decode_tokens
 
-from reference import full_pass_simulated
-
-EXPECTED_OFFSETS = (0, 1, 0, 2, 1, 0, 1, 0, 1, 2, 0, 0, 1, 0)
+from reference import CHAIN_STAGES, full_pass_simulated
 
 
 @pytest.fixture(scope="module")
@@ -81,29 +78,10 @@ def test_chain_closure_is_exact_word_equality(chain):
 
 
 def test_chain_matches_reference_table(chain):
-    assert reference_mismatches(chain) == []
-    refs = reference_vectors()
-    assert len(refs) == 14
-    assert tuple(q.offset for q in chain.quadruplets) == EXPECTED_OFFSETS
-    for q, (left, right, offset) in zip(chain.quadruplets, refs):
-        assert q.left == left
-        assert q.right == right
-        assert q.offset == offset
-
-
-def test_reference_endpoints():
-    refs = reference_vectors()
-    assert refs[0] == (words.A, words.C, 0)
-    assert refs[13] == (words.A, words.C, 0)
-    assert tuple(offset for _, _, offset in refs) == EXPECTED_OFFSETS
-
-
-@pytest.mark.parametrize("entry", [("ZZZ2", "ZZZ", 0), ("ZZOOOZ", "ZZ OOO", 0), ("ZZOOOZ", "ZZZ", 3)])
-def test_corrupted_chain_entry_is_rejected(monkeypatch, entry):
-    # "ZZZ2" + "ZZZ" lacks O, so a strict-superset test of {Z, O} misses its 2
-    monkeypatch.setattr(words, "REFERENCE_CHAIN", (entry,) + words.REFERENCE_CHAIN[1:])
-    with pytest.raises(RuntimeError, match="reference chain entry is corrupted"):
-        words._verify_constants()
+    stages = [(decode_tokens(left), decode_tokens(right), offset)
+              for left, right, offset in CHAIN_STAGES]
+    assert [(q.left, q.right, q.offset) for q in chain.quadruplets] == stages
+    assert stages[0] == stages[-1] == (words.A, words.C, 0)
 
 
 def test_foreign_symbol_in_a_constant_is_rejected_before_its_checksum(monkeypatch):
@@ -150,6 +128,30 @@ def test_wrong_seed_offset_does_not_certify():
     except InvariantViolated:
         return
     assert certificate_problems(bad_chain) != []
+
+
+@pytest.mark.parametrize("flip, offset",
+                         [(i, 0) for i in range(len(words.A))] + [(None, 1), (None, 2)])
+def test_perturbed_seeds_fail_their_own_steps(flip, offset):
+    # the seed check rejects all of these at once; each must fail without it
+    left = words.A
+    if flip is not None:
+        left = left[:flip] + ("1" if left[flip] == "0" else "0") + left[flip + 1:]
+    try:
+        chain = verify_chain(Quadruplet(left, words.B, words.C, offset))
+    except InvariantViolated:
+        return
+    assert chain.closure_ok is False
+
+
+def test_certificate_problems_pin_the_seed_and_the_step_count(chain):
+    seed_problem = f"seed: not the {CHAIN_STEPS}-step chain from (A, B, C, 0)"
+    # (A, ABC, C, 0) grows like the paper's seed and its chain closes
+    other = verify_chain(Quadruplet(words.A, words.A + words.B + words.C, words.C, 0))
+    assert other.valid
+    assert certificate_problems(other) == [seed_problem]
+    longer = verify_chain(seed_quadruplet(), steps=2 * CHAIN_STEPS)
+    assert certificate_problems(longer) == ["closure_ok: fail", seed_problem]
 
 
 def test_zero_step_chain_fails_closure():
@@ -260,8 +262,20 @@ def test_certificate_problems_catch_word_tampering(chain):
     lines[target] = f"step.3.derived.a: {flipped}\n"
     tampered = parse_certificate("".join(lines))
     problems = certificate_problems(tampered)
-    assert any("step.3" in p or "reference" in p for p in problems)
+    assert any("step.3" in p for p in problems)
     assert "step.3.checks.d_ok: stored flag disagrees with recomputation" in problems
+
+
+def test_certificate_problems_report_failed_checks(chain):
+    # a tampered word whose flag admits the failure is still reported
+    step = chain.step_certificates[-1]
+    derived = step.derived._replace(left=step.derived.left[::-1])
+    step = step._replace(derived=derived, checks=step.checks._replace(d_ok=False))
+    tampered = chain._replace(
+        quadruplets=chain.quadruplets[:-1] + (derived,),
+        step_certificates=chain.step_certificates[:-1] + (step,),
+    )
+    assert "step.13.checks.d_ok: fail" in certificate_problems(tampered)
 
 
 def test_certificate_problems_catch_flag_tampering(chain):

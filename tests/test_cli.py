@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taglab import words
+from taglab.certify import Quadruplet, render_certificate, seed_quadruplet, verify_chain
 from taglab.cli import main
 
 
@@ -122,7 +123,8 @@ def test_verify_omega_emit_check_round_trip(tmp_path, capsys):
 def test_verify_omega_rejects_perturbed_offset(capsys):
     for offset in ("1", "2"):
         code, out, err = run_cli(capsys, "verify-omega", "--seed-x", offset)
-        assert code == 3
+        assert (code, out) == (3, "certificate FAILED\n")
+        assert err.startswith("invariant: ")
 
 
 def test_verify_omega_rejects_flipped_symbols(capsys):
@@ -152,6 +154,72 @@ def test_verify_omega_check_rejects_malformed_document(tmp_path, capsys):
     path.write_text("version: 1\nnonsense\n")
     code, _, err = run_cli(capsys, "verify-omega", "--check", str(path))
     assert code == 1
+
+
+def test_verify_omega_check_requires_the_rendered_bytes(tmp_path, capsys):
+    path = tmp_path / "certificate.txt"
+    run_cli(capsys, "verify-omega", "--emit", str(path))
+    path.write_text(path.read_text().replace("seed.x: 0\n", "seed.x: 0 \n", 1))
+    code, out, err = run_cli(capsys, "verify-omega", "--check", str(path))
+    assert (code, out) == (3, "certificate FAILED\n")
+    assert err == "document: re-rendering does not reproduce the file\n"
+
+
+def test_verify_omega_check_rejects_another_family(tmp_path, capsys):
+    # honestly derived and closed, but from (A, ABC, C, 0): only the seed is wrong
+    chain = verify_chain(Quadruplet(words.A, words.A + words.B + words.C, words.C, 0))
+    path = tmp_path / "certificate.txt"
+    path.write_text(render_certificate(chain))
+    code, out, err = run_cli(capsys, "verify-omega", "--check", str(path))
+    assert (code, out) == (3, "certificate FAILED\n")
+    assert err == "seed: not the 13-step chain from (A, B, C, 0)\n"
+
+
+SWAPPED = {"pass": "fail", "fail": "pass", "true": "false", "false": "true"}
+
+
+@st.composite
+def single_line_edits(draw, lines):
+    """The genuine certificate's lines with one line dropped, duplicated or changed."""
+    i = draw(st.integers(0, len(lines) - 1))
+    key, _, value = lines[i].rstrip("\n").partition(": ")
+    edits = ["drop", "duplicate"]
+    if value in SWAPPED:
+        edits.append("flag")
+    elif key.endswith((".a", ".b", ".c")):
+        edits.append("flip")
+    else:
+        edits.append("number")
+    edit = draw(st.sampled_from(edits))
+    if edit == "drop":
+        return lines[:i] + lines[i + 1:]
+    if edit == "duplicate":
+        return lines[:i + 1] + lines[i:]
+    if edit == "flag":
+        value = SWAPPED[value]
+    elif edit == "flip":
+        j = draw(st.integers(0, len(value) - 1))
+        value = value[:j] + ("1" if value[j] == "0" else "0") + value[j + 1:]
+    else:
+        value = str(draw(st.integers(-1, 20).filter(lambda n: str(n) != value)))
+    return lines[:i] + [f"{key}: {value}\n"] + lines[i + 1:]
+
+
+@pytest.fixture(scope="module")
+def genuine_lines():
+    return render_certificate(verify_chain(seed_quadruplet())).splitlines(keepends=True)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_single_line_edits_never_check(genuine_lines, tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "edited-certificate.txt"
+    path.write_text("".join(data.draw(single_line_edits(genuine_lines))))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify-omega", "--check", str(path)])
+    assert (code, out.getvalue()) in ((1, ""), (3, "certificate FAILED\n"))
+    assert "Traceback" not in err.getvalue()
 
 
 def test_blockset_worked_example(capsys):
@@ -235,10 +303,8 @@ def test_decode_tokens_to_binary(capsys):
 
 
 def test_decode_binary_to_tokens(capsys):
-    code, out, _ = run_cli(capsys, "decode", "--to-tokens", words.A)
-    assert code == 0
-    assert out.strip() == "ZZOOOZ"
     code, out, _ = run_cli(capsys, "decode", words.A)
+    assert code == 0
     assert out.strip() == "ZZOOOZ"
 
 
@@ -288,7 +354,7 @@ def cli_argv(draw, missing):
         argv = [draw(small_ints), draw(st.integers(-1, 20).map(str)), draw(small_ints)]
         argv += draw(option("--max-suffix", small_ints)) + draw(option("--out", paths))
     else:
-        argv = [draw(word_args)] + draw(flag("--to-tokens"))
+        argv = [draw(word_args)]
     return [command] + argv + draw(flag("--bogus"))
 
 
