@@ -109,6 +109,8 @@ def _cmd_verify_omega(args) -> int:
     # stdout carries either the derived document or the verdict line
     document_on_stdout = False
     if args.check is not None:
+        if (args.emit, args.flip_a, args.seed_x) != (None, None, None):
+            return _fail("--check takes none of --emit, --flip-a and --seed-x")
         try:
             with open(args.check, encoding="ascii") as handle:
                 text = handle.read()

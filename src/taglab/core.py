@@ -46,8 +46,9 @@ _ZERO, _ONE = DEFAULT_PRODUCTION["0"], DEFAULT_PRODUCTION["1"]
 # Length change per sampled symbol, and its largest size.
 _DELTAS = {symbol: len(production) - 3 for symbol, production in DEFAULT_PRODUCTION.items()}
 _SPREAD = max(map(abs, _DELTAS.values()))
-# What each sampled 1 adds to the length beyond a sampled 0.
-_ONE_EXTRA = _DELTAS["1"] - _DELTAS["0"]
+# What each sampled 0 changes, and each sampled 1 adds beyond a sampled 0.
+_ZERO_DELTA = _DELTAS["0"]
+_ONE_EXTRA = _DELTAS["1"] - _ZERO_DELTA
 
 
 def _expand(sample: str) -> str:
@@ -94,7 +95,7 @@ def step(word: str) -> str:
 _PREFIX = 32
 
 
-def _first_match(full, view, size, other, hi):
+def _first_match(full, view, size, other, needle, hi):
     """The first ``j`` in 1..hi at which the chunk ``full`` passes through ``other``.
 
     ``full`` is the chunk's word of ``size`` symbols followed by the expansion
@@ -103,12 +104,11 @@ def _first_match(full, view, size, other, hi):
     ``Δ`` is ``_DELTAS`` and ``ones`` counts the 1s among the first ``j``
     sampled symbols.  ``view`` is ``full[0:3*(hi + _PREFIX):3]`` or longer:
     its first symbols are the sampled ones, and step ``j`` sits at its index
-    ``j``.  Candidates are the steps where ``view`` holds ``other``'s
-    every-third-symbol prefix; one matches when ``L == len(other)`` and
+    ``j``.  Candidates are the steps where ``view`` holds ``needle``, the
+    prefix ``other[0:3*_PREFIX:3]``; one matches when ``L == len(other)`` and
     ``other`` starts there in ``full``.  A length that is off by ``d`` rules
     out the next ``d // _SPREAD - 1`` steps too.  Returns ``j``, or ``None``.
     """
-    needle = other[0:3 * _PREFIX:3]
     goal = len(other)
     end = hi + len(needle)
     ones = counted = 0
@@ -116,7 +116,7 @@ def _first_match(full, view, size, other, hi):
     while j >= 0:
         ones += view.count("1", counted, j)
         counted = j
-        gap = abs(size + j * _DELTAS["0"] + ones * _ONE_EXTRA - goal)
+        gap = abs(size + j * _ZERO_DELTA + ones * _ONE_EXTRA - goal)
         if not gap and full.startswith(other, 3 * j):
             return j
         j = view.find(needle, j + max(1, gap // _SPREAD), end)
@@ -127,22 +127,25 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
     """Iterate the tag step until halt, repeat, target, or budget exhaustion.
 
     Repeats are found with constant extra memory: the live configuration is
-    raced against a snapshot that is refreshed at exponentially growing
-    intervals, so the first match after a refresh yields the exact period.
-    Steps are taken in closed-form chunks that end at every snapshot
-    refresh, and each chunk's every-third-symbol view is searched for the
-    target and the snapshot (``_first_match``), so the outcome is the one a
-    step-by-step loop gives.
+    raced against a snapshot that is replaced after steps 2^e - 1 (1, 3, 7,
+    15, ...), so the first match after a replacement yields the exact period.
+    Steps are taken in closed-form chunks that end at every replacement, and
+    each chunk's every-third-symbol view is searched for the target and the
+    snapshot (``_first_match``), so the outcome is the one a step-by-step
+    loop gives.  Each compared word's needle is sliced once per snapshot.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     check_word(word)
     if target is not None:
         check_word(target)
+        target_needle = target[0:3 * _PREFIX:3]
     target_size = -1 if target is None else len(target)
     saved = word
+    saved_size = len(word)
+    saved_needle = word[0:3 * _PREFIX:3]
     saved_step = 0
-    window = 1
+    refresh = 1
     steps = 0
     while True:
         size = len(word)
@@ -152,12 +155,16 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
             return RunOutcome(OutcomeKind.HALTED, steps, word)
         if steps == budget:
             return RunOutcome(OutcomeKind.BUDGET_EXHAUSTED, steps, word)
-        k = min(size // 3, budget - steps, saved_step + window - steps)
+        k = size // 3
+        if k > budget - steps:
+            k = budget - steps
+        if k > refresh - steps:
+            k = refresh - steps
         sampled = word[0:3 * k:3]
         full = word + _expand(sampled)
         reach = k * _SPREAD
-        near_saved = abs(size - len(saved)) <= reach
-        near_target = target is not None and abs(size - target_size) <= reach
+        near_saved = -reach <= size - saved_size <= reach
+        near_target = target is not None and -reach <= size - target_size <= reach
         if near_target or near_saved:
             # The sampled symbols are the view's first k; the needles reach
             # at most _PREFIX symbols past the last step.
@@ -166,20 +173,22 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
         # A target found here always precedes a repeat: every word after
         # the snapshot repeats one that was already compared with it.
         if near_target:
-            j = _first_match(full, view, size, target, k - 1)
+            j = _first_match(full, view, size, target, target_needle, k - 1)
             if j is not None:
                 return RunOutcome(OutcomeKind.TARGET_REACHED, steps + j, target)
         if near_saved:
-            j = _first_match(full, view, size, saved, k)
+            j = _first_match(full, view, size, saved, saved_needle, k)
             if j is not None:
                 return RunOutcome(OutcomeKind.CYCLED, steps + j, saved,
                                   cycle_length=steps + j - saved_step)
         word = full[3 * k:]
         steps += k
-        if steps - saved_step == window:
+        if steps == refresh:
             saved = word
+            saved_size = len(word)
+            saved_needle = word[0:3 * _PREFIX:3]
             saved_step = steps
-            window *= 2
+            refresh = 2 * steps + 1
 
 
 _TOKEN_EXPANSION = {"Z": _ZERO, "O": _ONE}

@@ -175,6 +175,16 @@ def test_verify_omega_check_rejects_another_family(tmp_path, capsys):
     assert err == "seed: not the 13-step chain from (A, B, C, 0)\n"
 
 
+@pytest.mark.parametrize("extra", [["--emit", "out.txt"], ["--flip-a", "0"], ["--seed-x", "0"]])
+def test_verify_omega_check_refuses_derivation_flags(tmp_path, monkeypatch, capsys, extra):
+    monkeypatch.chdir(tmp_path)
+    run_cli(capsys, "verify-omega", "--emit", "certificate.txt")
+    code, out, err = run_cli(capsys, "verify-omega", "--check", "certificate.txt", *extra)
+    assert (code, out) == (1, "")
+    assert err == "error: --check takes none of --emit, --flip-a and --seed-x\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["certificate.txt"]
+
+
 SWAPPED = {"pass": "fail", "fail": "pass", "true": "false", "false": "true"}
 
 

@@ -229,6 +229,15 @@ def test_run_agrees_with_reference_run_on_pinned_cases(word, target, budget):
     )
 
 
+def test_run_agrees_with_reference_run_on_every_short_word():
+    # the orbits regime, exhaustively: quick halts and short cycles whose
+    # snapshot is replaced after steps 1, 3, 7, ... before they close
+    for length in range(13):
+        for symbols in itertools.product("01", repeat=length):
+            word = "".join(symbols)
+            assert run(word, budget=2000) == reference_run(word, budget=2000), word
+
+
 def test_expand_matches_productions_on_every_short_word():
     for length in range(13):
         for symbols in itertools.product("01", repeat=length):
@@ -246,7 +255,7 @@ def first_match(word, k, other, hi, extra=0):
     accepts plus ``extra`` steps."""
     full = chunk(word, k)
     view = full[0:3 * (hi + _PREFIX + extra):3]
-    return _first_match(full, view, len(word), other, hi)
+    return _first_match(full, view, len(word), other, other[0:3 * _PREFIX:3], hi)
 
 
 def expect_first_match(word, k, other, hi, extra=0):
