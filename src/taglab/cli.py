@@ -8,8 +8,9 @@ failed.
 
 from __future__ import annotations
 
-import argparse
+import os
 import sys
+from types import SimpleNamespace
 
 # Each subcommand imports the taglab modules it uses when it runs, so a
 # process loads only those; importing this module loads none of them.
@@ -20,27 +21,16 @@ EXIT_BUDGET = 2
 EXIT_VERIFY = 3
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on usage errors, which collides with the budget
-    # exit code; route every usage problem to the input-error code instead
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT)
+def _int_within(low: int, high: int | None = None):
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < low or high is not None and value > high:
+            raise ValueError(f"must be at least {low}" if high is None else f"must be {low}..{high}")
+        return value
+    return convert
 
 
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
-
-
-def _non_negative(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be non-negative")
-    return value
+_positive, _non_negative, _seed_offset = _int_within(1), _int_within(0), _int_within(0, 2)
 
 
 def _read_word(arg: str) -> str:
@@ -188,57 +178,97 @@ def _cmd_decode(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="taglab", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each subcommand once: help line, handler, positionals as (name, converter, help) and long
+# options as ("--flag METAVAR", converter, default, required, help), with argparse's names.
+COMMANDS = {
+    "simulate": ("run the tag system from a word", _cmd_simulate, [], [
+        ("--word WORD", str, None, True, "binary word or @file"),
+        ("--target TARGET", str, None, False, "stop when this word is reached"),
+        ("--budget BUDGET", _positive, None, True, "maximum steps")]),
+    "verify-theorem": ("grid of direct growth checks", _cmd_verify_theorem, [
+        ("n_max", _non_negative, ""), ("m_max", _non_negative, ""), ("budget", _positive, "")], []),
+    "verify-omega": ("derive and check the growth certificate", _cmd_verify_omega, [], [
+        ("--emit PATH", str, None, False, "write the certificate document here"),
+        ("--check PATH", str, None, False, "re-validate an existing document"),
+        ("--seed-x {0,1,2}", _seed_offset, None, False, "override the seed cut offset"),
+        ("--flip-a INDEX", int, None, False, "flip one symbol of the seed's left word")]),
+    "blockset": ("list the converting set of a row word", _cmd_blockset, [("word", str, "")], []),
+    "block-search": ("search for qualifying building blocks", _cmd_block_search, [
+        ("max_rows", _positive, ""), ("budget", _positive, ""), ("threads", _positive,
+         "worker count, at least 1; accepted, but the search is single-threaded")], [
+        ("--max-suffix MAX_SUFFIX", _positive, 4, False, ""),
+        ("--out PATH", str, None, False, "write the result document here")]),
+    "decode": ("convert between token and binary forms", _cmd_decode,
+               [("input", str, "token word, or binary word to encode")], []),
+}
 
-    p = sub.add_parser("simulate", help="run the tag system from a word")
-    p.add_argument("--word", required=True, help="binary word or @file")
-    p.add_argument("--target", help="stop when this word is reached")
-    p.add_argument("--budget", type=_positive, required=True, help="maximum steps")
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("verify-theorem", help="grid of direct growth checks")
-    p.add_argument("n_max", type=_non_negative)
-    p.add_argument("m_max", type=_non_negative)
-    p.add_argument("budget", type=_positive)
-    p.set_defaults(func=_cmd_verify_theorem)
+def _leave(command, error: str = "") -> None:
+    """Print the help and exit 0, or usage and ``error`` and exit EXIT_INPUT (not 2: budget)."""
+    about, _, positionals, options = COMMANDS.get(command, (__doc__, None, [], []))
+    usage = " ".join(["usage: taglab", command or "{" + ",".join(COMMANDS) + "} ...", "[-h]",
+                      *(o[0] if o[3] else f"[{o[0]}]" for o in options), *(p[0] for p in positionals)])
+    rows = positionals + options or [(name, entry[0]) for name, entry in COMMANDS.items()]
+    body = [f"taglab: error: {error}"] if error else ["", about.strip(), "", *(
+        f"  {r[0]:<23} {r[-1]}".rstrip() for r in rows)]
+    print(usage, *body, sep="\n", file=sys.stderr if error else sys.stdout)
+    raise SystemExit(EXIT_INPUT if error else EXIT_OK)
 
-    p = sub.add_parser("verify-omega", help="derive and check the growth certificate")
-    p.add_argument("--emit", metavar="PATH", help="write the certificate document here")
-    p.add_argument("--check", metavar="PATH", help="re-validate an existing document")
-    p.add_argument("--seed-x", type=int, choices=(0, 1, 2), help="override the seed cut offset")
-    p.add_argument("--flip-a", type=int, metavar="INDEX",
-                   help="flip one symbol of the seed's left word")
-    p.set_defaults(func=_cmd_verify_omega)
 
-    p = sub.add_parser("blockset", help="list the converting set of a row word")
-    p.add_argument("word")
-    p.set_defaults(func=_cmd_blockset)
+def _is_flag(arg: str) -> bool:
+    """argparse's rule: "-", words with a space and negative numbers (-12, -1.5, -.5) are values."""
+    number = arg[1:].replace(".", "", 1).isdecimal() and arg[-1] != "."
+    return arg[:1] == "-" and arg != "-" and " " not in arg and not number
 
-    p = sub.add_parser("block-search", help="search for qualifying building blocks")
-    p.add_argument("max_rows", type=_positive)
-    p.add_argument("budget", type=_positive)
-    p.add_argument("threads", type=_positive,
-                   help="worker count, at least 1; accepted, but the search is single-threaded")
-    p.add_argument("--max-suffix", type=_positive, default=4)
-    p.add_argument("--out", metavar="PATH", help="write the result document here")
-    p.set_defaults(func=_cmd_block_search)
 
-    p = sub.add_parser("decode", help="convert between token and binary forms")
-    p.add_argument("input", help="token word, or binary word to encode")
-    p.set_defaults(func=_cmd_decode)
-
-    return parser
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The namespace ``tests/reference.py::reference_parser`` gives ``argv``, less its ``func``."""
+    command = argv[0] if argv else None
+    if command not in COMMANDS:
+        _leave(None, "" if command in ("-h", "--help") else "choose a command")
+    _, _, positionals, options = COMMANDS[command]
+    flags = {s.split()[0]: (s.split()[0][2:].replace("-", "_"), *o) for s, *o in options}
+    values = {"command": command} | {o[0]: o[2] for o in flags.values()}
+    rest, pending, extras = argv[1:], list(positionals), []
+    while rest:
+        arg = rest.pop(0)
+        flag, joined, value = arg.partition("=")
+        if flag in ("-h", "--help"):
+            _leave(command, joined and f"argument {flag}: ignored explicit argument {value!r}")
+        if flag in flags:
+            if not joined and (not rest or _is_flag(rest[0])):
+                _leave(command, f"argument {flag}: expected one argument")
+            (name, convert, *_), value = flags[flag], value if joined else rest.pop(0)
+        elif _is_flag(arg) or not pending:
+            extras.append(arg)
+            continue
+        else:
+            (name, convert, _), value = pending.pop(0), arg
+        try:
+            values[name] = convert(value)
+        except ValueError as exc:
+            _leave(command, f"argument {name}: {exc}")
+    missing = [p[0] for p in pending] + [f for f, o in flags.items() if o[3] and values[o[0]] is None]
+    if missing or extras:
+        _leave(command, f"the following arguments are required: {', '.join(missing)}" if missing
+               else f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
+    return COMMANDS[args.command][1](args)
 
 
 def app() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (`taglab ... | head`): the flush at exit must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_INPUT
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

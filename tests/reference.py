@@ -1,9 +1,12 @@
 """Slow reference implementations and pinned data that the suite checks the fast paths against."""
 
+import argparse
 import itertools
+import sys
 
 from taglab.algebra import _require_pass_length
 from taglab.blocks import _lowerings, row_key
+from taglab import cli
 from taglab.core import DEFAULT_PRODUCTION, check_word
 
 # (left word, right word, cut offset) of the 14 stages of the paper's chain,
@@ -103,3 +106,57 @@ def raised_converting_sets(n: int) -> dict[str, list[str]]:
     for rows in table.values():
         rows.sort()
     return table
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse exits with 2 on usage errors, which collides with the budget
+    # exit code; route every usage problem to the input-error code instead
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise SystemExit(cli.EXIT_INPUT)
+
+
+def reference_parser() -> _Parser:
+    """The argparse parser that ``taglab.cli.parse_args`` replaces, kept as its oracle."""
+    parser = _Parser(prog="taglab", description=cli.__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("simulate", help="run the tag system from a word")
+    p.add_argument("--word", required=True, help="binary word or @file")
+    p.add_argument("--target", help="stop when this word is reached")
+    p.add_argument("--budget", type=cli._positive, required=True, help="maximum steps")
+    p.set_defaults(func=cli._cmd_simulate)
+
+    p = sub.add_parser("verify-theorem", help="grid of direct growth checks")
+    p.add_argument("n_max", type=cli._non_negative)
+    p.add_argument("m_max", type=cli._non_negative)
+    p.add_argument("budget", type=cli._positive)
+    p.set_defaults(func=cli._cmd_verify_theorem)
+
+    p = sub.add_parser("verify-omega", help="derive and check the growth certificate")
+    p.add_argument("--emit", metavar="PATH", help="write the certificate document here")
+    p.add_argument("--check", metavar="PATH", help="re-validate an existing document")
+    p.add_argument("--seed-x", type=int, choices=(0, 1, 2), help="override the seed cut offset")
+    p.add_argument("--flip-a", type=int, metavar="INDEX",
+                   help="flip one symbol of the seed's left word")
+    p.set_defaults(func=cli._cmd_verify_omega)
+
+    p = sub.add_parser("blockset", help="list the converting set of a row word")
+    p.add_argument("word")
+    p.set_defaults(func=cli._cmd_blockset)
+
+    p = sub.add_parser("block-search", help="search for qualifying building blocks")
+    p.add_argument("max_rows", type=cli._positive)
+    p.add_argument("budget", type=cli._positive)
+    p.add_argument("threads", type=cli._positive,
+                   help="worker count, at least 1; accepted, but the search is single-threaded")
+    p.add_argument("--max-suffix", type=cli._positive, default=4)
+    p.add_argument("--out", metavar="PATH", help="write the result document here")
+    p.set_defaults(func=cli._cmd_block_search)
+
+    p = sub.add_parser("decode", help="convert between token and binary forms")
+    p.add_argument("input", help="token word, or binary word to encode")
+    p.set_defaults(func=cli._cmd_decode)
+
+    return parser

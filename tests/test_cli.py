@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from taglab import words
 from taglab.certify import Quadruplet, render_certificate, seed_quadruplet, verify_chain
-from taglab.cli import main
+from taglab.cli import main, parse_args
+
+from reference import reference_parser
 
 
 def run_cli(capsys, *argv):
@@ -327,45 +330,52 @@ def test_decode_rejects_untokenizable_word(capsys):
 # Argv fuzzing: numbers stay small (rows <= 2, budgets <= 50) so each
 # command line runs in milliseconds.
 small_ints = st.one_of(st.integers(-1, 2).map(str), st.sampled_from(["", "x"]))
-
-
-def option(name, values):
-    return st.one_of(st.just([]), values.map(lambda value: [name, value]))
-
-
-def flag(name):
-    return st.sampled_from([[], [name]])
+# values that argparse must not take for an option's value or a positional
+# (option names), or must take although they start with "-" (negative numbers)
+dashed = st.one_of(st.sampled_from(["--word", "--target", "--budget", "--emit", "--seed-x",
+                                    "--max-suffix", "--out", "--bogus", "-h"]),
+                   st.integers(-30, -1).map(str))
 
 
 @st.composite
 def cli_argv(draw, missing):
     """A random command line for one subcommand, valid or not.
 
-    ``missing`` is a path under a directory that does not exist; "@" alone
-    names the working directory.
+    Each option comes zero, one or two times, as ``--flag value`` or
+    ``--flag=value``, before, between or after the positionals; any value
+    may be an option name or a negative number.  ``missing`` is a path under
+    a directory that does not exist; "@" alone names the working directory.
     """
     word_args = st.one_of(st.text(alphabet="01ZOvuwx@", max_size=12),
                           st.sampled_from(["@", "@" + missing]))
     paths = st.sampled_from(["", missing])
+    numbers = st.integers(-1, 50).map(str)
     command = draw(st.sampled_from(
         ["simulate", "verify-theorem", "verify-omega", "blockset", "block-search", "decode"]))
+    positionals, options, required = [], [], ()
     if command == "simulate":
-        argv = ["--word", draw(word_args), "--budget", draw(st.integers(-1, 50).map(str))]
-        argv += draw(option("--target", word_args))
+        options, required = [("--word", word_args), ("--budget", numbers),
+                             ("--target", word_args)], ("--word", "--budget")
     elif command == "verify-theorem":
-        argv = [draw(small_ints), draw(small_ints), draw(st.integers(-1, 50).map(str))]
+        positionals = [small_ints, small_ints, numbers]
     elif command == "verify-omega":
-        argv = draw(option("--emit", paths)) + draw(option("--check", paths))
-        argv += draw(option("--seed-x", small_ints))
-        argv += draw(option("--flip-a", st.integers(-1, 20).map(str)))
-    elif command == "blockset":
-        argv = [draw(word_args)]
+        options = [("--emit", paths), ("--check", paths), ("--seed-x", small_ints),
+                   ("--flip-a", st.integers(-1, 20).map(str))]
     elif command == "block-search":
-        argv = [draw(small_ints), draw(st.integers(-1, 20).map(str)), draw(small_ints)]
-        argv += draw(option("--max-suffix", small_ints)) + draw(option("--out", paths))
+        positionals = [small_ints, st.integers(-1, 20).map(str), small_ints]
+        options = [("--max-suffix", small_ints), ("--out", paths)]
     else:
-        argv = [draw(word_args)]
-    return [command] + argv + draw(flag("--bogus"))
+        positionals = [word_args]
+    groups = [[draw(st.one_of(values, values, values, dashed))] for values in positionals]
+    # at most one unknown flag or stray positional
+    inserted = draw(st.lists(st.sampled_from([["--bogus"], ["1"]]), max_size=1))
+    for name, values in options:
+        for _ in range(draw(st.sampled_from([1, 1, 1, 2, 0] if name in required else [0, 0, 1, 2]))):
+            value = draw(st.one_of(values, values, values, dashed))
+            inserted.append(draw(st.sampled_from([[name, value], [f"{name}={value}"]])))
+    for group in inserted:
+        groups.insert(draw(st.integers(0, len(groups))), group)
+    return [command] + [token for group in groups for token in group]
 
 
 @pytest.fixture(scope="module")
@@ -378,7 +388,10 @@ def missing_path(tmp_path_factory):
 def test_random_command_lines_exit_cleanly(missing_path, data):
     argv = data.draw(cli_argv(missing_path))
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    # a drawn path such as "-3" or "--out" names a file in the working directory
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        patch.chdir(Path(missing_path).parents[1])
         try:
             code = main(argv)
         except SystemExit as exc:
@@ -387,13 +400,84 @@ def test_random_command_lines_exit_cleanly(missing_path, data):
     assert "Traceback" not in err.getvalue()
 
 
+def parsed(parse, argv):
+    """``parse(argv)``'s attributes less argparse's ``func``, or the code it exited with."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            attributes = vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code
+    attributes.pop("func", None)
+    return attributes
+
+
+@given(data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_parse_args_agrees_with_argparse(missing_path, data):
+    argv = data.draw(cli_argv(missing_path))
+    assert parsed(parse_args, argv) == parsed(reference_parser().parse_args, argv)
+
+
+def test_parse_args_accepts_each_form():
+    # "--flag=value" whose value holds "=", options before and between the
+    # positionals, the last of a repeated option wins, a negative number value
+    argv = ["block-search", "--out=a=b", "--max-suffix", "2", "2", "--max-suffix=3", "5", "1"]
+    expected = {"command": "block-search", "max_rows": 2, "budget": 5, "threads": 1,
+                "max_suffix": 3, "out": "a=b"}
+    assert vars(parse_args(argv)) == parsed(reference_parser().parse_args, argv) == expected
+    argv = ["verify-omega", "--flip-a", "-3", "--seed-x=1"]
+    expected = {"command": "verify-omega", "emit": None, "check": None, "seed_x": 1, "flip_a": -3}
+    assert vars(parse_args(argv)) == parsed(reference_parser().parse_args, argv) == expected
+
+
+HELP_NAMES = {
+    "simulate": ["--word", "--target", "--budget"],
+    "verify-theorem": ["n_max", "m_max", "budget"],
+    "verify-omega": ["--emit", "--check", "--seed-x", "--flip-a"],
+    "blockset": ["word"],
+    "block-search": ["max_rows", "budget", "threads", "--max-suffix", "--out",
+                     "accepted, but the search is single-threaded"],
+    "decode": ["input"],
+}
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"]])
+def test_help_lists_every_command(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: taglab")
+    assert all(command in out for command in HELP_NAMES)
+
+
+@pytest.mark.parametrize("command", HELP_NAMES)
+def test_help_names_every_argument(capsys, command):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: taglab {command} ")
+    assert all(name in out for name in HELP_NAMES[command])
+
+
+def test_no_command_is_an_input_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([])
+    assert excinfo.value.code == 1
+    assert capsys.readouterr().err.startswith("usage: taglab")
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+# Modules whose import costs start-up time that no subcommand needs: the
+# argparse parser alone loaded argparse, gettext and, through it, locale.
+UNNEEDED = ("dataclasses", "pathlib", "typing", "_hashlib", "argparse", "gettext", "locale")
+
 # Run in a fresh interpreter without site, so that only the modules the code
-# under test imports are loaded; prints the exit code, whether dataclasses,
-# pathlib, typing and OpenSSL's _hashlib were loaded, and the loaded taglab
-# modules.
-LOADED = """
+# under test imports are loaded; prints the exit code, the loaded modules of
+# UNNEEDED (or "none"), and the loaded taglab modules.
+LOADED = f"""
 import io, sys
 sys.path.insert(0, sys.argv[1])
 argv = sys.argv[2:]
@@ -405,8 +489,8 @@ if argv:
 else:
     import taglab
     code = None
-print(code, "dataclasses" in sys.modules, "pathlib" in sys.modules, "typing" in sys.modules,
-      "_hashlib" in sys.modules, *sorted(name for name in sys.modules if name.partition(".")[0] == "taglab"))
+print(code, ",".join(name for name in {UNNEEDED!r} if name in sys.modules) or "none",
+      *sorted(name for name in sys.modules if name.partition(".")[0] == "taglab"))
 """
 
 CORE = ["taglab", "taglab.cli", "taglab.core"]
@@ -419,8 +503,8 @@ def loaded_modules(*argv):
     proc = subprocess.run([sys.executable, "-S", "-c", LOADED, str(SRC), *argv],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    code, dataclasses, pathlib, typing, openssl, *modules = proc.stdout.split()
-    return code, dataclasses, pathlib, typing, openssl, modules
+    code, unneeded, *modules = proc.stdout.split()
+    return code, unneeded, modules
 
 
 SUBCOMMAND_RUNS = [
@@ -436,8 +520,23 @@ SUBCOMMAND_RUNS = [
 @pytest.mark.parametrize("command, code, modules", SUBCOMMAND_RUNS,
                          ids=[command.split()[0] for command, _, _ in SUBCOMMAND_RUNS])
 def test_each_subcommand_loads_only_its_modules(command, code, modules):
-    assert loaded_modules(*command.split()) == (code, "False", "False", "False", "False", modules)
+    assert loaded_modules(*command.split()) == (code, "none", modules)
 
 
 def test_importing_the_package_loads_no_submodule():
-    assert loaded_modules() == ("None", "False", "False", "False", "False", ["taglab"])
+    assert loaded_modules() == ("None", "none", ["taglab"])
+
+
+def test_closed_pipe_ends_without_traceback():
+    # unbuffered, each grid row is written as it is made, so the rows after
+    # the first meet the pipe that the reader closed
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "taglab.cli", "verify-theorem", "5", "5", "200000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(SRC)})
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) in (0, 1, 2, 3)
+    assert first.startswith(b"n=0: 10444 ")
+    assert b"Traceback" not in err, err.decode()
