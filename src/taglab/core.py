@@ -14,6 +14,10 @@ with ``str.find``, so every hit is a step, and accept a hit whose running
 length (each sampled symbol changes it by ``len(production) - 3``: -1 for a
 0, +1 for a 1) equals the other word's and where the chunk holds the whole
 word, which keeps detection exact.
+
+``run`` remembers the cycles that earlier runs detected, in a table of at
+most ``_TABLE_SYMBOLS`` symbols that stops adding when full and never
+evicts; a run that meets one ends in closed form.  No result depends on it.
 """
 
 from __future__ import annotations
@@ -123,6 +127,47 @@ def _first_match(full, view, size, other, needle, hi):
     return None
 
 
+# length -> {word on a detected cycle: (ring, index)}, ``ring`` the cycle's
+# words in step order; keyed by length so that other lengths are never hashed.
+_TABLE_SYMBOLS = 1 << 18
+_CYCLES: dict[int, dict[str, tuple[list[str], int]]] = {}
+_held = 0
+
+
+def _remember(word: str, period: int) -> None:
+    """Publish the cycle through ``word`` once it is complete, if it fits."""
+    global _held
+    ring, room = [word], _TABLE_SYMBOLS - _held - len(word)
+    while len(ring) < period and room >= 0:
+        ring.append(word := word[3:] + DEFAULT_PRODUCTION[word[0]])
+        room -= len(word)
+    if room >= 0:
+        _held = _TABLE_SYMBOLS - room
+        for index, member in enumerate(ring):
+            _CYCLES.setdefault(len(member), {})[member] = (ring, index)
+
+
+def _jump(word: str, mu: int, budget: int, target: str | None) -> RunOutcome:
+    """``run``'s outcome from ``word``, off every known cycle (or at step 0)
+    after ``mu`` steps, once a later turn is on one: replay to the cycle, close
+    it at step W - 1 + period for the least W = 2^e with W - 1 >= mu and W >=
+    period, and find a target on it (after that turn, which missed it)."""
+    while (entry := _CYCLES.get(len(word), {}).get(word)) is None:
+        word = word[3:] + DEFAULT_PRODUCTION[word[0]]
+        mu += 1
+    ring, start = entry
+    period = len(ring)
+    detected = (1 << max(mu.bit_length(), (period - 1).bit_length())) - 1 + period
+    hit = None if target is None else _CYCLES.get(len(target), {}).get(target)
+    if hit is not None and hit[0] is ring and (reached := mu + (hit[1] - start) % period) <= budget:
+        return RunOutcome(OutcomeKind.TARGET_REACHED, reached, target)
+    end = min(detected, budget)
+    final = ring[(start + end - mu) % period]
+    if end < detected:
+        return RunOutcome(OutcomeKind.BUDGET_EXHAUSTED, end, final)
+    return RunOutcome(OutcomeKind.CYCLED, end, final, period)
+
+
 def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
     """Iterate the tag step until halt, repeat, target, or budget exhaustion.
 
@@ -133,6 +178,8 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
     each chunk's every-third-symbol view is searched for the target and the
     snapshot (``_first_match``), so the outcome is the one a step-by-step
     loop gives.  Each compared word's needle is sliced once per snapshot.
+    A detected cycle joins the table of known cycles, and a turn whose word
+    is on one ends the run in closed form (``_jump``).
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -146,7 +193,7 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
     saved_needle = word[0:3 * _PREFIX:3]
     saved_step = 0
     refresh = 1
-    steps = 0
+    previous, last, steps = word, 0, 0
     while True:
         size = len(word)
         if size == target_size and word == target:
@@ -155,6 +202,8 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
             return RunOutcome(OutcomeKind.HALTED, steps, word)
         if steps == budget:
             return RunOutcome(OutcomeKind.BUDGET_EXHAUSTED, steps, word)
+        if size in _CYCLES and word in _CYCLES[size]:
+            return _jump(previous, last, budget, target)
         k = size // 3
         if k > budget - steps:
             k = budget - steps
@@ -179,9 +228,10 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
         if near_saved:
             j = _first_match(full, view, size, saved, saved_needle, k)
             if j is not None:
+                _remember(saved, steps + j - saved_step)
                 return RunOutcome(OutcomeKind.CYCLED, steps + j, saved,
                                   cycle_length=steps + j - saved_step)
-        word = full[3 * k:]
+        previous, last, word = word, steps, full[3 * k:]
         steps += k
         if steps == refresh:
             saved = word

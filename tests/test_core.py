@@ -1,11 +1,12 @@
 """Simulation engine: steps, runs, cycle detection, token round trips."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from taglab import words
+from taglab import core, words
 from taglab.core import (
     _PREFIX,
     DEFAULT_PRODUCTION,
@@ -64,8 +65,10 @@ def orbit_word(word, depth):
     return word
 
 
-def hash_trace_cycle(word, limit=10**6):
-    """Independent cycle oracle: remember every configuration until one repeats."""
+def hash_trace(word, limit=10**6):
+    """Independent cycle oracle: remember every configuration until one
+    repeats, and return ``(mu, period)``, the first step on the cycle and its
+    length, or ``None`` if the word halts or ``limit`` steps pass first."""
     seen = {}
     steps = 0
     while word not in seen and len(word) >= 3 and steps < limit:
@@ -73,8 +76,51 @@ def hash_trace_cycle(word, limit=10**6):
         word = step(word)
         steps += 1
     if word in seen:
-        return steps - seen[word]
+        return seen[word], steps - seen[word]
     return None
+
+
+def hash_trace_cycle(word, limit=10**6):
+    """The period that ``hash_trace`` finds, or ``None``."""
+    shape = hash_trace(word, limit)
+    return None if shape is None else shape[1]
+
+
+def brent_detection(mu, period):
+    """The step at which ``run``'s snapshots see a cycle close: the snapshot
+    after step ``window - 1`` is the first on the cycle with a window that
+    holds a whole period."""
+    window = 1
+    while window - 1 < mu or window < period:
+        window *= 2
+    return window - 1 + period
+
+
+def forget_cycles():
+    """Empty ``run``'s table of known cycles."""
+    core._CYCLES.clear()
+    core._held = 0
+
+
+@pytest.fixture(autouse=True)
+def cold_table():
+    """Every test starts from an empty table, whatever ran before it."""
+    forget_cycles()
+
+
+def known_rings():
+    """The distinct rings in the table, in the order they were added."""
+    rings = {}
+    for table in core._CYCLES.values():
+        for ring, _ in table.values():
+            rings[id(ring)] = ring
+    return list(rings.values())
+
+
+def orbit_like_words(seed, count):
+    """Random words of 8-64 symbols, as the orbits benchmark draws them."""
+    rng = random.Random(seed)
+    return ["".join(rng.choice("01") for _ in range(rng.randint(8, 64))) for _ in range(count)]
 
 
 def test_step_on_zero_word():
@@ -229,13 +275,25 @@ def test_run_agrees_with_reference_run_on_pinned_cases(word, target, budget):
     )
 
 
-def test_run_agrees_with_reference_run_on_every_short_word():
+def test_run_agrees_with_reference_run_on_every_short_word(monkeypatch):
     # the orbits regime, exhaustively: quick halts and short cycles whose
-    # snapshot is replaced after steps 1, 3, 7, ... before they close
-    for length in range(13):
-        for symbols in itertools.product("01", repeat=length):
-            word = "".join(symbols)
-            assert run(word, budget=2000) == reference_run(word, budget=2000), word
+    # snapshot is replaced after steps 1, 3, 7, ... before they close; first
+    # from an empty table of known cycles, then again with every cycle known,
+    # when no run may detect a cycle step by step, so each cycling word jumps
+    short = ["".join(symbols) for length in range(13)
+             for symbols in itertools.product("01", repeat=length)]
+
+    def detected_again(word, period):
+        raise AssertionError(f"cycle of {word} detected step by step")
+
+    for budget in (1, 5, 37, 2000):
+        forget_cycles()
+        expected = [reference_run(word, budget=budget) for word in short]
+        assert [run(word, budget=budget) for word in short] == expected
+        assert known_rings() or budget < 7
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "_remember", detected_again)
+            assert [run(word, budget=budget) for word in short] == expected
 
 
 def test_expand_matches_productions_on_every_short_word():
@@ -390,9 +448,13 @@ def test_run_cycle_replay_soundness():
 
 
 def test_run_is_deterministic():
+    # the first run is cold and adds its cycle to the table; the second jumps
     first = run("10110100101", budget=5000)
+    assert first.kind is OutcomeKind.CYCLED and known_rings()
     second = run("10110100101", budget=5000)
     assert first == second
+    forget_cycles()
+    assert run("10110100101", budget=5000) == first
 
 
 @given(binary_words.filter(lambda w: 3 <= len(w) <= 12))
@@ -410,6 +472,91 @@ def test_run_classification_matches_oracle(word):
     elif outcome.kind is OutcomeKind.HALTED:
         assert oracle_period is None
     assert outcome.steps_taken <= budget
+
+
+def orbit_words_on_cycle(word):
+    """Every word on the cycle that ``word`` falls into, or none."""
+    shape = hash_trace(word, 20000)
+    return [] if shape is None else [orbit_word(word, shape[0] + i) for i in range(shape[1])]
+
+
+@st.composite
+def warm_cases(draw):
+    """Two words whose orbits warm the table, and a run to compare: from a
+    word on the first orbit, with a target on it before or after its cycle
+    starts, flipped, on the second word's cycle or none, and a budget on
+    either side of the step where the cycle is detected or where it starts."""
+    word, other = draw(st.lists(st.text(alphabet="01", min_size=8, max_size=64),
+                                min_size=2, max_size=2))
+    start = orbit_word(word, draw(st.integers(0, 40)))
+    shape = hash_trace(start, 20000)
+    if shape is None:
+        mu, period = draw(st.integers(0, 200)), 1
+        near = mu
+    else:
+        mu, period = shape
+        near = draw(st.sampled_from([brent_detection(mu, period), mu]))
+    budget = max(1, near + draw(st.integers(-period - 3, period + 3)))
+    kind = draw(st.sampled_from(["orbit", "flipped", "other-cycle", "none"]))
+    target = None
+    if kind in ("orbit", "flipped"):
+        target = orbit_word(start, max(0, mu + draw(st.integers(-4, 2 * period))))
+    if kind == "flipped" and target:
+        target = flip(target, draw(st.integers(0, len(target) - 1)))
+    if kind == "other-cycle":
+        target = draw(st.sampled_from(orbit_words_on_cycle(other) or [other]))
+    return word, other, start, budget, target
+
+
+@given(warm_cases())
+@settings(max_examples=300, deadline=None)
+def test_warm_run_agrees_with_reference_run(case):
+    word, other, start, budget, target = case
+    run(word, budget=20000)
+    run(other, budget=20000)
+    assert run(start, budget=budget, target=target) == reference_run(
+        start, budget=budget, target=target
+    )
+
+
+def test_known_cycles_are_true_cycles():
+    outcomes = [run(word, budget=20000) for word in orbit_like_words(7, 400)]
+    cycled = [o for o in outcomes if o.kind is OutcomeKind.CYCLED]
+    found = [core._CYCLES[len(o.final)][o.final][0] for o in cycled]
+    assert [len(ring) for ring in found] == [o.cycle_length for o in cycled]
+    rings = known_rings()
+    assert set(map(id, found)) == set(map(id, rings)) and len(rings) > 10
+    for ring in rings:
+        assert len(ring) == hash_trace_cycle(ring[0])
+        for index, member in enumerate(ring):
+            assert step(member) == ring[(index + 1) % len(ring)]
+            assert core._CYCLES[len(member)][member] == (ring, index)
+    assert core._held == sum(len(member) for ring in rings for member in ring)
+
+
+def test_table_keeps_its_bound_and_runs_stay_exact(monkeypatch):
+    monkeypatch.setattr(core, "_TABLE_SYMBOLS", 600)
+    stored = {}
+    refused = 0
+    for word in orbit_like_words(8, 300):
+        outcome = run(word, budget=20000)
+        assert outcome == reference_run(word, budget=20000)
+        assert core._held <= 600
+        for ring in known_rings():
+            for index, member in enumerate(ring):
+                assert stored.setdefault(member, (ring, index)) == (ring, index)
+        refused += outcome.kind is OutcomeKind.CYCLED and outcome.final not in stored
+    assert len(stored) == sum(map(len, core._CYCLES.values())) and refused
+    assert core._held == sum(map(len, stored))
+
+
+def test_warm_table_keeps_ten_thousand_steps_from_b():
+    for word in orbit_like_words(9, 200):
+        run(word, budget=20000)
+    assert known_rings()
+    outcome = run(words.B, budget=20000, target=words.A + words.B + words.C)
+    assert outcome.kind is OutcomeKind.TARGET_REACHED
+    assert outcome.steps_taken == 10444
 
 
 def test_outcome_requires_cycle_length_consistency():
