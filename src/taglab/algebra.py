@@ -3,15 +3,13 @@
 Because every step deletes exactly three symbols, word lengths matter only
 modulo 3 and whole sweeps of the system can be written in closed form: one
 full pass over a word equals the production-sampled word cut by the length
-residue.  Words of fewer than four symbols are rejected by the pass
-operations to keep concatenation identities corner-case free.
+residue, ``cut(pass_output(w), (-len(w)) % 3)``.  That identity is checked
+against a step-by-step pass in ``tests/``.
 """
 
 from __future__ import annotations
 
 from taglab.core import WordTooShort, _expand, check_word
-
-MIN_PASS_LENGTH = 4
 
 
 def length_residue(word: str) -> int:
@@ -37,16 +35,3 @@ def pass_output(word: str) -> str:
     check_word(word)
     return _expand(word[::3])
 
-
-def _require_pass_length(word: str) -> None:
-    if len(word) < MIN_PASS_LENGTH:
-        raise WordTooShort(
-            f"full-pass operations need at least {MIN_PASS_LENGTH} symbols, got {len(word)}"
-        )
-
-
-def full_pass_algebraic(word: str) -> str:
-    """Closed form of a full pass: the pass output cut by the length residue."""
-    _require_pass_length(word)
-    check_word(word)
-    return pass_output(word)[(-len(word)) % 3:]

@@ -50,7 +50,7 @@ def _cmd_simulate(args) -> int:
 
     try:
         word = core.check_word(_read_word(args.word))
-        target = core.check_word(_read_word(args.target)) if args.target else None
+        target = core.check_word(_read_word(args.target)) if args.target is not None else None
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
     outcome = core.run(word, budget=args.budget, target=target)

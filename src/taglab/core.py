@@ -2,18 +2,17 @@
 
 Each step appends 00 for a leading 0 and 1101 for a leading 1, then deletes
 three symbols.  Words are plain strings over {0,1}; all public operations are
-pure.  ``step`` applies one transformation; ``run`` iterates in closed form:
-while ``k <= len(w) // 3`` steps read only symbols of ``w`` itself, they turn
-``w`` into ``w[3*k:]`` followed by the productions of the sampled symbols
-``w[0:3*k:3]``, which is one slice, one expansion of the sample and one
-concatenation.  The chunk is then one string, ``w`` followed by that
-expansion, in which the word after ``j`` steps starts at ``3*j``; its
-every-third-symbol view holds step ``j`` at index ``j``.  Target and cycle
-detection search that view for the other word's every-third-symbol prefix
-with ``str.find``, so every hit is a step, and accept a hit whose running
-length (each sampled symbol changes it by ``len(production) - 3``: -1 for a
-0, +1 for a 1) equals the other word's and where the chunk holds the whole
-word, which keeps detection exact.
+pure.  ``run`` iterates in closed form: while ``k <= len(w) // 3`` steps read
+only symbols of ``w`` itself, they turn ``w`` into ``w[3*k:]`` followed by the
+productions of the sampled symbols ``w[0:3*k:3]``, which is one slice, one
+expansion of the sample and one concatenation.  The chunk is then one string,
+``w`` followed by that expansion, in which the word after ``j`` steps starts
+at ``3*j``; its every-third-symbol view holds step ``j`` at index ``j``.
+Target and cycle detection search that view for the other word's
+every-third-symbol prefix with ``str.find``, so every hit is a step, and
+accept a hit whose running length (each sampled symbol changes it by
+``len(production) - 3``: -1 for a 0, +1 for a 1) equals the other word's and
+where the chunk holds the whole word, which keeps detection exact.
 
 ``run`` remembers the cycles that earlier runs detected, in a table of at
 most ``_TABLE_SYMBOLS`` symbols that stops adding when full and never
@@ -83,14 +82,6 @@ class RunOutcome(namedtuple("RunOutcome", "kind steps_taken final cycle_length",
         if (self.cycle_length is not None) != (self.kind is OutcomeKind.CYCLED):
             raise ValueError("cycle_length is present exactly when the run cycled")
         return self
-
-
-def step(word: str) -> str:
-    """One tag transformation: append the first symbol's production, delete the front."""
-    check_word(word)
-    if len(word) < 3:
-        raise WordTooShort(f"length {len(word)} < deletion number 3")
-    return word[3:] + DEFAULT_PRODUCTION[word[0]]
 
 
 # Length of the every-third-symbol prefix of the other word that a chunk's

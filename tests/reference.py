@@ -4,10 +4,9 @@ import argparse
 import itertools
 import sys
 
-from taglab.algebra import _require_pass_length
 from taglab.blocks import _lowerings, row_key
 from taglab import cli
-from taglab.core import DEFAULT_PRODUCTION, check_word
+from taglab.core import DEFAULT_PRODUCTION, WordTooShort, check_word
 
 # (left word, right word, cut offset) of the 14 stages of the paper's chain,
 # in token form (Z for 00, O for 1101): the expected data that the derived
@@ -33,16 +32,30 @@ CHAIN_STAGES = (
 RAISES = {"v": "01v", "u": "01wu", "w": "01w", "0": "0", "1": "1"}
 
 
+def step(word: str) -> str:
+    """One tag transformation: append the first symbol's production, delete the front.
+
+    The suite's one-step oracle, which ``core.run`` is checked against.
+    """
+    check_word(word)
+    if len(word) < 3:
+        raise WordTooShort(f"length {len(word)} < deletion number 3")
+    return word[3:] + DEFAULT_PRODUCTION[word[0]]
+
+
 def full_pass_simulated(word: str) -> str:
     """Run the tag step until every symbol of the input has been deleted.
 
-    One symbol at a time, on purpose: this is the reference that the closed
-    form ``algebra.full_pass_algebraic`` is checked against.
+    One step at a time, on purpose: this is the reference for the closed form
+    that the certificate's derivation relies on,
+    ``full_pass_simulated(w) == cut(pass_output(w), (-len(w)) % 3)``.  Words
+    of fewer than four symbols are rejected, which keeps the concatenation
+    identities free of corner cases.
     """
-    _require_pass_length(word)
-    check_word(word)
+    if len(word) < 4:
+        raise WordTooShort(f"a full pass needs at least 4 symbols, got {len(word)}")
     for _ in range(-(-len(word) // 3)):
-        word = word[3:] + DEFAULT_PRODUCTION[word[0]]
+        word = step(word)
     return word
 
 

@@ -1,15 +1,12 @@
 """Residue algebra: cutting, pass output, and the closed form of a full pass."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from taglab import words
-from taglab.algebra import (
-    cut,
-    full_pass_algebraic,
-    length_residue,
-    pass_output,
-)
+from taglab.algebra import cut, length_residue, pass_output
 from taglab.core import WordTooShort
 
 from reference import full_pass_simulated
@@ -67,20 +64,19 @@ def test_pass_output_of_empty_word():
 
 def test_full_pass_on_four_zeros():
     assert full_pass_simulated("0000") == "00"
-    assert full_pass_algebraic("0000") == "00"
+    assert cut(pass_output("0000"), (-4) % 3) == "00"
 
 
 def test_full_pass_needs_four_symbols():
     with pytest.raises(WordTooShort):
         full_pass_simulated("000")
-    with pytest.raises(WordTooShort):
-        full_pass_algebraic("000")
 
 
 def test_full_pass_algebraic_skips_cut_for_residue_zero():
     doubled = words.A + words.A
     assert length_residue(doubled) == 0
-    assert full_pass_algebraic(doubled) == pass_output(doubled)
+    closed = cut(pass_output(doubled), (-len(doubled)) % 3)
+    assert full_pass_simulated(doubled) == closed == pass_output(doubled)
 
 
 @given(binary_words, st.data())
@@ -107,7 +103,14 @@ def test_pass_output_splits_over_concatenation(s, t, x):
 @given(passable_words)
 @settings(deadline=None)
 def test_full_pass_closed_form(word):
-    assert full_pass_simulated(word) == full_pass_algebraic(word)
+    assert full_pass_simulated(word) == cut(pass_output(word), (-len(word)) % 3)
+
+
+def test_full_pass_closed_form_on_every_short_word():
+    # all 8176 binary words of 4-12 symbols
+    for length in range(4, 13):
+        for word in map("".join, itertools.product("01", repeat=length)):
+            assert full_pass_simulated(word) == cut(pass_output(word), (-len(word)) % 3)
 
 
 @given(binary_words)

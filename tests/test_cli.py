@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from taglab import words
 from taglab.certify import Quadruplet, render_certificate, seed_quadruplet, verify_chain
 from taglab.cli import main, parse_args
+from taglab.core import OutcomeKind, run
 
 from reference import reference_parser
 
@@ -34,6 +35,18 @@ def test_simulate_reaches_target_from_file_words(tmp_path, capsys):
     )
     assert code == 0
     assert out.startswith("TargetReached 10444 2474")
+
+
+def test_simulate_keeps_an_empty_target(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    outcome = run("", budget=1, target="")
+    assert outcome.kind is OutcomeKind.TARGET_REACHED
+    for target in ("", f"@{empty}"):
+        code, out, _ = run_cli(capsys, "simulate", "--word", "", "--target", target,
+                               "--budget", "1")
+        assert code == 0
+        assert out == f"{outcome.kind.value} {outcome.steps_taken} {len(outcome.final)}\n"
 
 
 def test_simulate_halts_on_short_words(capsys):

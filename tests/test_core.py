@@ -20,10 +20,9 @@ from taglab.core import (
     decode_tokens,
     encode_tokens,
     run,
-    step,
 )
 
-from reference import reference_first_match
+from reference import reference_first_match, step
 
 binary_words = st.text(alphabet="01")
 
