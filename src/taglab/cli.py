@@ -40,19 +40,21 @@ def _read_word(arg: str) -> str:
     return arg
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_INPUT
+def _write(path: str | None, document: str) -> None:
+    """Write ``document`` to the file ``path``, or to stdout when ``path`` is None."""
+    if path is None:
+        sys.stdout.write(document)
+    else:
+        with open(path, "w", encoding="ascii") as handle:
+            handle.write(document)
 
 
 def _cmd_simulate(args) -> int:
     from taglab import core
 
-    try:
-        word = core.check_word(_read_word(args.word))
-        target = core.check_word(_read_word(args.target)) if args.target is not None else None
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    # the word is checked before the target is read, so its error comes first
+    word = core.check_word(_read_word(args.word))
+    target = _read_word(args.target) if args.target is not None else None
     outcome = core.run(word, budget=args.budget, target=target)
     fields = [outcome.kind.value, str(outcome.steps_taken), str(len(outcome.final))]
     if outcome.cycle_length is not None:
@@ -96,42 +98,28 @@ def _perturbed_seed(args):
 def _cmd_verify_omega(args) -> int:
     from taglab import certify
 
-    # stdout carries either the derived document or the verdict line
-    document_on_stdout = False
     if args.check is not None:
         if (args.emit, args.flip_a, args.seed_x) != (None, None, None):
-            return _fail("--check takes none of --emit, --flip-a and --seed-x")
-        try:
-            with open(args.check, encoding="ascii") as handle:
-                text = handle.read()
-            chain = certify.parse_certificate(text)
-        except (OSError, ValueError) as exc:
-            return _fail(str(exc))
+            raise ValueError("--check takes none of --emit, --flip-a and --seed-x")
+        with open(args.check, encoding="ascii") as handle:
+            text = handle.read()
+        chain = certify.parse_certificate(text)
         problems = certify.certificate_problems(chain)
         if certify.render_certificate(chain) != text:
             problems.append("document: re-rendering does not reproduce the file")
     else:
         try:
             chain = certify.verify_chain(_perturbed_seed(args))
-        except ValueError as exc:
-            return _fail(str(exc))
         except certify.InvariantViolated as exc:
-            problems = [f"invariant: {exc}"]
-        else:
-            document = certify.render_certificate(chain)
-            if args.emit is None:
-                sys.stdout.write(document)
-                document_on_stdout = True
-            else:
-                try:
-                    with open(args.emit, "w", encoding="ascii") as handle:
-                        handle.write(document)
-                except OSError as exc:
-                    return _fail(str(exc))
-            problems = certify.certificate_problems(chain)
+            print(f"invariant: {exc}", file=sys.stderr)
+            print("certificate FAILED")
+            return EXIT_VERIFY
+        _write(args.emit, certify.render_certificate(chain))
+        problems = certify.certificate_problems(chain)
     for problem in problems:
         print(problem, file=sys.stderr)
-    if not document_on_stdout:
+    # stdout carries either the derived document or the verdict line
+    if args.check is not None or args.emit is not None:
         print("certificate ok" if not problems else "certificate FAILED")
     return EXIT_VERIFY if problems else EXIT_OK
 
@@ -139,11 +127,7 @@ def _cmd_verify_omega(args) -> int:
 def _cmd_blockset(args) -> int:
     from taglab import blocks
 
-    try:
-        members = blocks.converting_set(_read_word(args.word))
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
-    for member in members:
+    for member in blocks.converting_set(_read_word(args.word)):
         print(member)
     return EXIT_OK
 
@@ -153,28 +137,15 @@ def _cmd_block_search(args) -> int:
 
     result = blocks.search(args.max_rows, args.budget, args.threads, args.max_suffix)
     document = blocks.render_search_results(result, args.max_rows, args.budget, args.max_suffix)
-    if args.out is not None:
-        try:
-            with open(args.out, "w", encoding="ascii") as handle:
-                handle.write(document)
-        except OSError as exc:
-            return _fail(str(exc))
-    else:
-        sys.stdout.write(document)
+    _write(args.out, document)
     return EXIT_OK
 
 
 def _cmd_decode(args) -> int:
     from taglab import core
 
-    try:
-        word = _read_word(args.input)
-        if set(word) <= {"0", "1"}:
-            print(core.encode_tokens(word))
-        else:
-            print(core.decode_tokens(word))
-    except (OSError, ValueError, core.NotTokenizable) as exc:
-        return _fail(str(exc))
+    word = _read_word(args.input)
+    print(core.encode_tokens(word) if set(word) <= {"0", "1"} else core.decode_tokens(word))
     return EXIT_OK
 
 
@@ -256,8 +227,19 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
 
 
 def main(argv=None) -> int:
+    """Run one command line, catching every input error here and only here.
+
+    A handler raises OSError or ValueError on a missing, unreadable or non-ASCII
+    file or a word outside its alphabet; that ends as one ``error:`` line, EXIT_INPUT.
+    """
     args = parse_args(sys.argv[1:] if argv is None else argv)
-    return COMMANDS[args.command][1](args)
+    try:
+        return COMMANDS[args.command][1](args)
+    except BrokenPipeError:
+        raise  # app() ends the process quietly
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 def app() -> None:

@@ -30,7 +30,7 @@ class WordTooShort(Exception):
     """The configuration has fewer symbols than one deletion needs."""
 
 
-class NotTokenizable(Exception):
+class NotTokenizable(ValueError):
     """The word is not a concatenation of 00 and 1101 segments."""
 
 
@@ -232,25 +232,18 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
             refresh = 2 * steps + 1
 
 
-_TOKEN_EXPANSION = {"Z": _ZERO, "O": _ONE}
-
-
 def encode_tokens(word: str) -> str:
-    """Greedily parse a binary word into Z (00) and O (1101) tokens."""
-    check_word(word)
-    out = []
-    i = 0
-    n = len(word)
-    while i < n:
-        for token in "OZ":
-            segment = _TOKEN_EXPANSION[token]
-            if word.startswith(segment, i):
-                out.append(token)
-                i += len(segment)
-                break
-        else:
-            raise NotTokenizable(f"no token starts at position {i}: {word[i:i + 4]!r}…")
-    return "".join(out)
+    """Parse a binary word into Z (00) and O (1101) tokens.
+
+    00 and 1101 form a prefix code, so a tokenizable word has one parse and
+    no 1101 in it straddles two tokens: two replaces find that parse.
+    """
+    tokens = check_word(word).replace(_ONE, "O").replace(_ZERO, "Z")
+    rest = tokens.lstrip("OZ")
+    if rest:
+        i = len(decode_tokens(tokens[:len(tokens) - len(rest)]))
+        raise NotTokenizable(f"no token starts at position {i}: {word[i:i + 4]!r}…")
+    return tokens
 
 
 def decode_tokens(tokens: str) -> str:
@@ -258,4 +251,4 @@ def decode_tokens(tokens: str) -> str:
     if not set(tokens) <= {"Z", "O"}:
         bad = sorted(set(tokens) - {"Z", "O"})
         raise ValueError(f"not a token word, unexpected symbols {bad}")
-    return "".join(_TOKEN_EXPANSION[t] for t in tokens)
+    return tokens.replace("O", _ONE).replace("Z", _ZERO)

@@ -6,7 +6,7 @@ import sys
 
 from taglab.blocks import _lowerings, row_key
 from taglab import cli
-from taglab.core import DEFAULT_PRODUCTION, WordTooShort, check_word
+from taglab.core import DEFAULT_PRODUCTION, NotTokenizable, WordTooShort, check_word
 
 # (left word, right word, cut offset) of the 14 stages of the paper's chain,
 # in token form (Z for 00, O for 1101): the expected data that the derived
@@ -41,6 +41,27 @@ def step(word: str) -> str:
     if len(word) < 3:
         raise WordTooShort(f"length {len(word)} < deletion number 3")
     return word[3:] + DEFAULT_PRODUCTION[word[0]]
+
+
+def reference_encode(word: str) -> str:
+    """Greedily parse a binary word into Z (00) and O (1101) tokens, token by token.
+
+    The oracle that ``core.encode_tokens``, which finds the same parse with
+    two replaces, is checked against.
+    """
+    check_word(word)
+    out = []
+    i = 0
+    while i < len(word):
+        for token, symbol in (("O", "1"), ("Z", "0")):
+            segment = DEFAULT_PRODUCTION[symbol]
+            if word.startswith(segment, i):
+                out.append(token)
+                i += len(segment)
+                break
+        else:
+            raise NotTokenizable(f"no token starts at position {i}: {word[i:i + 4]!r}…")
+    return "".join(out)
 
 
 def full_pass_simulated(word: str) -> str:

@@ -312,6 +312,54 @@ def test_block_search_out_to_missing_directory(tmp_path, capsys):
     assert err.startswith("error: ")
 
 
+# Every path argument, with PATH where the path goes, and whether it is read
+# (a written path cannot be a non-ASCII file).
+PATH_ARGUMENTS = {
+    "simulate-word": (["simulate", "--word", "@PATH", "--budget", "5"], True),
+    "simulate-target": (["simulate", "--word", "0", "--target", "@PATH", "--budget", "5"], True),
+    "blockset": (["blockset", "@PATH"], True),
+    "decode": (["decode", "@PATH"], True),
+    "verify-omega-check": (["verify-omega", "--check", "PATH"], True),
+    "verify-omega-emit": (["verify-omega", "--emit", "PATH"], False),
+    "block-search-out": (["block-search", "1", "1", "1", "--out", "PATH"], False),
+}
+BAD_PATHS = [(name, kind) for name, (_, read) in PATH_ARGUMENTS.items()
+             for kind in ("missing", "directory", "non-ascii")[:3 if read else 2]]
+
+
+@pytest.mark.parametrize("name, kind", BAD_PATHS, ids=[f"{n}-{k}" for n, k in BAD_PATHS])
+def test_bad_paths_end_as_one_error_line(tmp_path, capsys, name, kind):
+    path = {"missing": tmp_path / "no" / "x.txt", "directory": tmp_path,
+            "non-ascii": tmp_path / "word.txt"}[kind]
+    (tmp_path / "word.txt").write_bytes("0\u00e9\n".encode())
+    argv, _ = PATH_ARGUMENTS[name]
+    code, out, err = run_cli(capsys, *(arg.replace("PATH", str(path)) for arg in argv))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_simulate_reports_the_word_before_the_target(tmp_path, capsys):
+    word, target = tmp_path / "word.txt", tmp_path / "target.txt"
+    code, out, err = run_cli(capsys, "simulate", "--word", f"@{word}", "--target", f"@{target}",
+                             "--budget", "5")
+    assert (code, out) == (1, "")
+    assert str(word) in err and str(target) not in err
+    code, out, err = run_cli(capsys, "simulate", "--word", "012", "--target", f"@{target}",
+                             "--budget", "5")
+    assert (code, out, err) == (1, "", "error: not a binary word, unexpected symbols ['2']\n")
+
+
+def test_an_error_inside_a_handler_ends_as_one_error_line(monkeypatch, capsys):
+    from taglab import blocks
+
+    def boom(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(blocks, "search", boom)
+    code, out, err = run_cli(capsys, "block-search", "2", "10", "1")
+    assert (code, out, err) == (1, "", "error: boom\n")
+
+
 def test_block_search_document_structure(capsys):
     code, out, _ = run_cli(capsys, "block-search", "2", "50", "1")
     assert code == 0

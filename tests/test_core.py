@@ -22,7 +22,7 @@ from taglab.core import (
     run,
 )
 
-from reference import reference_first_match, step
+from reference import reference_encode, reference_first_match, step
 
 binary_words = st.text(alphabet="01")
 
@@ -576,6 +576,26 @@ def test_encode_empty_word():
 def test_encode_rejects_unparseable_word():
     with pytest.raises(NotTokenizable):
         encode_tokens("010")
+
+
+def test_not_tokenizable_is_an_input_error():
+    assert issubclass(NotTokenizable, ValueError)
+
+
+def encoded(encode, word):
+    """``encode(word)``, or the message of the NotTokenizable it raised."""
+    try:
+        return encode(word)
+    except NotTokenizable as exc:
+        return f"NotTokenizable: {exc}"
+
+
+def test_encode_matches_the_greedy_parse_on_every_short_word():
+    # all 131 071 binary words of 0-16 symbols, failing positions included
+    for n in range(17):
+        for symbols in itertools.product("01", repeat=n):
+            word = "".join(symbols)
+            assert encoded(encode_tokens, word) == encoded(reference_encode, word), word
 
 
 def test_decode_rejects_bad_alphabet():
