@@ -1,10 +1,4 @@
-"""Command-line front door.
-
-Subcommands: simulate, verify-theorem, verify-omega, blockset, block-search,
-decode.  Word arguments may be given inline or as @path to read from a file.
-Exit codes: 0 success, 1 input error, 2 budget exhausted, 3 verification
-failed.
-"""
+"""Command-line front door: ``ABOUT`` and ``COMMANDS`` describe the ``taglab`` command."""
 
 from __future__ import annotations
 
@@ -149,6 +143,13 @@ def _cmd_decode(args) -> int:
     return EXIT_OK
 
 
+ABOUT = """Command-line front door.
+
+Subcommands: simulate, verify-theorem, verify-omega, blockset, block-search,
+decode.  Word arguments may be given inline or as @path to read from a file.
+Exit codes: 0 success, 1 input error, 2 budget exhausted, 3 verification
+failed."""
+
 # Each subcommand once: help line, handler, positionals as (name, converter, help) and long
 # options as ("--flag METAVAR", converter, default, required, help), with argparse's names.
 COMMANDS = {
@@ -176,7 +177,7 @@ COMMANDS = {
 
 def _leave(command, error: str = "") -> None:
     """Print the help and exit 0, or usage and ``error`` and exit EXIT_INPUT (not 2: budget)."""
-    about, _, positionals, options = COMMANDS.get(command, (__doc__, None, [], []))
+    about, _, positionals, options = COMMANDS.get(command, (ABOUT, None, [], []))
     usage = " ".join(["usage: taglab", command or "{" + ",".join(COMMANDS) + "} ...", "[-h]",
                       *(o[0] if o[3] else f"[{o[0]}]" for o in options), *(p[0] for p in positionals)])
     rows = positionals + options or [(name, entry[0]) for name, entry in COMMANDS.items()]

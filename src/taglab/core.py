@@ -16,7 +16,9 @@ where the chunk holds the whole word, which keeps detection exact.
 
 ``run`` remembers the cycles that earlier runs detected, in a table of at
 most ``_TABLE_SYMBOLS`` symbols that stops adding when full and never
-evicts; a run that meets one ends in closed form.  No result depends on it.
+evicts; a run ends in closed form at its first turn on one.  No replay is
+needed: no chunk crosses a snapshot step 2^e - 1, so the cycle's first step
+shares that turn's bracket and detection step.  No result depends on it.
 """
 
 from __future__ import annotations
@@ -138,22 +140,20 @@ def _remember(word: str, period: int) -> None:
             _CYCLES.setdefault(len(member), {})[member] = (ring, index)
 
 
-def _jump(word: str, mu: int, budget: int, target: str | None) -> RunOutcome:
-    """``run``'s outcome from ``word``, off every known cycle (or at step 0)
-    after ``mu`` steps, once a later turn is on one: replay to the cycle, close
-    it at step W - 1 + period for the least W = 2^e with W - 1 >= mu and W >=
-    period, and find a target on it (after that turn, which missed it)."""
-    while (entry := _CYCLES.get(len(word), {}).get(word)) is None:
-        word = word[3:] + DEFAULT_PRODUCTION[word[0]]
-        mu += 1
-    ring, start = entry
+def _jump(word: str, steps: int, budget: int, target: str | None) -> RunOutcome:
+    """``run``'s outcome from its first turn on a known cycle, ``word`` at step
+    ``steps``: the cycle closes at W - 1 + period for the least W = 2^e with
+    W > steps and W >= period; a target on it, missed so far, comes (index(target)
+    - index(word)) mod period steps on.  No replay: the cycle's first step follows
+    the last turn start, so it shares the bracket [2^(e-1) - 1, 2^e - 1] of ``steps``."""
+    ring, at = _CYCLES[len(word)][word]
     period = len(ring)
-    detected = (1 << max(mu.bit_length(), (period - 1).bit_length())) - 1 + period
+    detected = (1 << max(steps.bit_length(), (period - 1).bit_length())) - 1 + period
     hit = None if target is None else _CYCLES.get(len(target), {}).get(target)
-    if hit is not None and hit[0] is ring and (reached := mu + (hit[1] - start) % period) <= budget:
+    if hit is not None and hit[0] is ring and (reached := steps + (hit[1] - at) % period) <= budget:
         return RunOutcome(OutcomeKind.TARGET_REACHED, reached, target)
     end = min(detected, budget)
-    final = ring[(start + end - mu) % period]
+    final = ring[(at + end - steps) % period]
     if end < detected:
         return RunOutcome(OutcomeKind.BUDGET_EXHAUSTED, end, final)
     return RunOutcome(OutcomeKind.CYCLED, end, final, period)
@@ -179,13 +179,13 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
         check_word(target)
         target_needle = target[0:3 * _PREFIX:3]
     target_size = -1 if target is None else len(target)
-    saved = word
-    saved_size = len(word)
-    saved_needle = word[0:3 * _PREFIX:3]
-    saved_step = 0
-    refresh = 1
-    previous, last, steps = word, 0, 0
+    refresh = steps = 0
     while True:
+        if steps == refresh:
+            saved = word
+            saved_size = len(word)
+            saved_needle = word[0:3 * _PREFIX:3]
+            refresh = 2 * steps + 1
         size = len(word)
         if size == target_size and word == target:
             return RunOutcome(OutcomeKind.TARGET_REACHED, steps, word)
@@ -194,7 +194,7 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
         if steps == budget:
             return RunOutcome(OutcomeKind.BUDGET_EXHAUSTED, steps, word)
         if size in _CYCLES and word in _CYCLES[size]:
-            return _jump(previous, last, budget, target)
+            return _jump(word, steps, budget, target)
         k = size // 3
         if k > budget - steps:
             k = budget - steps
@@ -219,17 +219,11 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
         if near_saved:
             j = _first_match(full, view, size, saved, saved_needle, k)
             if j is not None:
-                _remember(saved, steps + j - saved_step)
-                return RunOutcome(OutcomeKind.CYCLED, steps + j, saved,
-                                  cycle_length=steps + j - saved_step)
-        previous, last, word = word, steps, full[3 * k:]
+                period = steps + j - refresh // 2  # the snapshot's step
+                _remember(saved, period)
+                return RunOutcome(OutcomeKind.CYCLED, steps + j, saved, period)
+        word = full[3 * k:]
         steps += k
-        if steps == refresh:
-            saved = word
-            saved_size = len(word)
-            saved_needle = word[0:3 * _PREFIX:3]
-            saved_step = steps
-            refresh = 2 * steps + 1
 
 
 def encode_tokens(word: str) -> str:

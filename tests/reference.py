@@ -153,7 +153,7 @@ class _Parser(argparse.ArgumentParser):
 
 def reference_parser() -> _Parser:
     """The argparse parser that ``taglab.cli.parse_args`` replaces, kept as its oracle."""
-    parser = _Parser(prog="taglab", description=cli.__doc__)
+    parser = _Parser(prog="taglab", description=cli.ABOUT)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run the tag system from a word")

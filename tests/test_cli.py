@@ -1,6 +1,7 @@
 """Command-line interface: output formats, exit codes, document round trips."""
 
 import contextlib
+import hashlib
 import io
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from taglab import words
+from taglab import cli, words
 from taglab.certify import Quadruplet, render_certificate, seed_quadruplet, verify_chain
 from taglab.cli import main, parse_args
 from taglab.core import OutcomeKind, run
@@ -510,6 +511,17 @@ def test_help_lists_every_command(capsys, argv):
     out = capsys.readouterr().out
     assert out.startswith("usage: taglab")
     assert all(command in out for command in HELP_NAMES)
+
+
+def test_help_keeps_its_bytes_apart_from_the_module_docstring(monkeypatch, capsys):
+    # the digest that the console-script step in .github/workflows/tests.yml pins
+    monkeypatch.setattr(cli, "__doc__", "Another docstring.")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--help"])
+    assert excinfo.value.code == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "0a5dd174dc8217587db45d725b366358db43c34b90de1be7c73372f90bf119e8")
 
 
 @pytest.mark.parametrize("command", HELP_NAMES)

@@ -518,6 +518,68 @@ def test_warm_run_agrees_with_reference_run(case):
     )
 
 
+def turn_starts(word, budget):
+    """The steps at which ``run``'s turns start, from its chunk schedule."""
+    starts, steps, refresh = [0], 0, 1
+    while len(word) >= 3 and steps < budget:
+        k = min(len(word) // 3, budget - steps, refresh - steps)
+        word = orbit_word(word, k)
+        steps += k
+        if steps == refresh:
+            refresh = 2 * steps + 1
+        starts.append(steps)
+    return starts
+
+
+def cycles_entered_inside_a_chunk():
+    """``(word, mu, period, s)`` for one word of up to 12 symbols per shape
+    whose cycle's first step ``mu`` lies strictly between two turn starts,
+    ``s`` the later one."""
+    cases = {}
+    for length in range(13):
+        for symbols in itertools.product("01", repeat=length):
+            word = "".join(symbols)
+            shape = hash_trace(word, 3000)
+            if shape is None:
+                continue
+            mu, period = shape
+            starts = turn_starts(word, brent_detection(mu, period))
+            i = next(i for i, s in enumerate(starts) if s >= mu)
+            if i and starts[i - 1] < mu < starts[i]:
+                cases.setdefault((mu, period, starts[i]), (word, mu, period, starts[i]))
+    return list(cases.values())
+
+
+def test_jump_from_a_turn_inside_the_cycle(monkeypatch):
+    # the premise of _jump: a cycle entered inside a chunk is known at the
+    # next turn start s, and mu shares s's power-of-two bracket; the warm run
+    # jumps at s and still ends as step-by-step runs do, at every budget from
+    # s to one past the detection step D, with no target or each one on the
+    # ring (which holds the words at D - 1 and D + 1)
+    cases = cycles_entered_inside_a_chunk()
+    assert {s.bit_length() for _, _, _, s in cases} >= {2, 3, 4, 5}
+    jumps = []
+    jump = core._jump
+
+    def recorded(word, steps, budget, target):
+        jumps.append(steps)
+        return jump(word, steps, budget, target)
+
+    for word, mu, period, s in cases:
+        assert mu.bit_length() == s.bit_length()
+        run(word, budget=20000)
+        detected = brent_detection(mu, period)
+        ring = [orbit_word(word, mu + i) for i in range(period)]
+        for budget in range(s, detected + 2):
+            for target in [None, *ring]:
+                jumps.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(core, "_jump", recorded)
+                    outcome = run(word, budget=budget, target=target)
+                assert outcome == reference_run(word, budget=budget, target=target)
+                assert jumps == ([s] if outcome.steps_taken > s else [])
+
+
 def test_known_cycles_are_true_cycles():
     outcomes = [run(word, budget=20000) for word in orbit_like_words(7, 400)]
     cycled = [o for o in outcomes if o.kind is OutcomeKind.CYCLED]
