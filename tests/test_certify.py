@@ -214,6 +214,16 @@ def test_chain_iterations_match_direct_replay(chain):
             assert outcome.steps_taken == predicted
 
 
+@pytest.mark.parametrize("n, m", [(0, 0), (9, 9), (0, 37), (41, 0), (200, 200)])
+def test_step_law_on_large_words(chain, n, m):
+    # (200, 200) runs 72 844 steps on words of about 16 800 symbols, so its
+    # chunks take thousands of steps and expand long samples
+    steps = 10444 + 78 * n + 234 * m
+    outcome = direct_growth_check(n, m)
+    assert outcome.kind is OutcomeKind.TARGET_REACHED
+    assert outcome.steps_taken == steps == total_pass_iterations(chain, n, m)
+
+
 def test_recompute_checks_flags_tampering(chain):
     cert = chain.step_certificates[0]
     tampered = Quadruplet(

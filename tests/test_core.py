@@ -296,10 +296,20 @@ def test_run_agrees_with_reference_run_on_every_short_word(monkeypatch):
 
 
 def test_expand_matches_productions_on_every_short_word():
+    # each symbol's byte code is pinned to its production, not only to the table
+    assert (_expand(""), _expand("0"), _expand("1")) == ("", "00", "1101")
     for length in range(13):
         for symbols in itertools.product("01", repeat=length):
             sample = "".join(symbols)
             assert _expand(sample) == "".join(DEFAULT_PRODUCTION[c] for c in sample)
+
+
+@given(st.integers(0, 4000).flatmap(lambda n: st.text(alphabet="01", min_size=n, max_size=n)))
+@settings(max_examples=100, deadline=None)
+def test_expand_matches_productions_on_long_samples(sample):
+    # long samples are where the byte code does its work; the length is drawn
+    # first, since text(max_size=4000) alone rarely passes 30 symbols
+    assert _expand(sample) == "".join(DEFAULT_PRODUCTION[c] for c in sample)
 
 
 def chunk(word, k):
