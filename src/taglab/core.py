@@ -56,7 +56,7 @@ _SPREAD = max(map(abs, _DELTAS.values()))
 # What each sampled 0 changes, and each sampled 1 adds beyond a sampled 0.
 _ZERO_DELTA = _DELTAS["0"]
 _ONE_EXTRA = _DELTAS["1"] - _ZERO_DELTA
-# _expand's byte code: a symbol's byte, then the hex digits' map (0 deleted).
+# _expand's byte code, which encodes DEFAULT_PRODUCTION and must change with it.
 _BYTE = bytes.maketrans(b"01", b"\x00\xa1")
 _HEX = bytes.maketrans(b"63", b"10")
 

@@ -205,23 +205,16 @@ def test_chain_iteration_total(chain):
 
 
 def test_chain_iterations_match_direct_replay(chain):
-    # the chain's predicted step count is exact, not just a bound
-    for n in range(6):
-        for m in range(6):
-            predicted = total_pass_iterations(chain, n, m)
-            outcome = direct_growth_check(n, m, budget=predicted)
-            assert outcome.kind is OutcomeKind.TARGET_REACHED, (n, m)
-            assert outcome.steps_taken == predicted
-
-
-@pytest.mark.parametrize("n, m", [(0, 0), (9, 9), (0, 37), (41, 0), (200, 200)])
-def test_step_law_on_large_words(chain, n, m):
-    # (200, 200) runs 72 844 steps on words of about 16 800 symbols, so its
-    # chunks take thousands of steps and expand long samples
-    steps = 10444 + 78 * n + 234 * m
-    outcome = direct_growth_check(n, m)
-    assert outcome.kind is OutcomeKind.TARGET_REACHED
-    assert outcome.steps_taken == steps == total_pass_iterations(chain, n, m)
+    # the chain's predicted step count is exact, not just a bound; (200, 200)
+    # runs 72 844 steps on words of about 16 800 symbols, so its chunks take
+    # thousands of steps and expand long samples
+    cells = [(n, m) for n in range(6) for m in range(6)]
+    for n, m in cells + [(9, 9), (0, 37), (41, 0), (200, 200)]:
+        predicted = total_pass_iterations(chain, n, m)
+        assert predicted == 10444 + 78 * n + 234 * m, (n, m)
+        outcome = direct_growth_check(n, m, budget=predicted)
+        assert outcome.kind is OutcomeKind.TARGET_REACHED, (n, m)
+        assert outcome.steps_taken == predicted
 
 
 def test_recompute_checks_flags_tampering(chain):
