@@ -15,11 +15,11 @@ accept a hit whose running length (each sampled symbol changes it by
 ``len(production) - 3``: -1 for a 0, +1 for a 1) equals the other word's and
 where the chunk holds the whole word, which keeps detection exact.
 
-``run`` remembers the cycles that earlier runs detected, in a table of at
-most ``_TABLE_SYMBOLS`` symbols that stops adding when full and never
-evicts; a run ends in closed form at its first turn on one.  No replay is
-needed: no chunk crosses a snapshot step 2^e - 1, so the cycle's first step
-shares that turn's bracket and detection step.  No result depends on it.
+``run`` remembers the cycles that earlier runs detected and the futures of
+the turn words of runs with no target, in a table of at most ``_TABLE_SYMBOLS``
+symbols that stops adding when full and never evicts; a run ends in closed form
+at its first turn on a known word that decides it (``_jump``).  No result
+depends on what ran before.
 """
 
 from __future__ import annotations
@@ -126,15 +126,19 @@ def _first_match(full, view, size, other, needle, hi):
     return None
 
 
-# length -> {word on a detected cycle: (ring, index)}, ``ring`` the cycle's
-# words in step order; keyed by length so that other lengths are never hashed.
+# length -> {word: (ring, at, dist)}, keyed by length so that other lengths are
+# never hashed: the word first reaches ``ring[at]``, on a cycle whose words are
+# ``ring`` in step order, after ``dist`` steps, or halts at ``at`` if ``ring`` is None.
 _TABLE_SYMBOLS = 1 << 18
-_CYCLES: dict[int, dict[str, tuple[list[str], int]]] = {}
+_TABLE: dict[int, dict[str, tuple]] = {}
 _held = 0
+# Longest turn word learned: orbits merge among short words, and recording and
+# hashing longer ones cost budget-exhausted runs more than later runs save.
+_LEARN = 128
 
 
-def _remember(word: str, period: int) -> None:
-    """Publish the cycle through ``word`` once it is complete, if it fits."""
+def _remember(word: str, period: int) -> tuple | None:
+    """Publish the cycle through ``word`` if it fits, and return ``word``'s entry."""
     global _held
     ring, room = [word], _TABLE_SYMBOLS - _held - len(word)
     while len(ring) < period and room >= 0:
@@ -143,23 +147,51 @@ def _remember(word: str, period: int) -> None:
     if room >= 0:
         _held = _TABLE_SYMBOLS - room
         for index, member in enumerate(ring):
-            _CYCLES.setdefault(len(member), {})[member] = (ring, index)
+            _TABLE.setdefault(len(member), {})[member] = (ring, index, 0)
+        return ring, 0, 0
 
 
-def _jump(word: str, steps: int, budget: int, target: str | None) -> RunOutcome:
-    """``run``'s outcome from its first turn on a known cycle, ``word`` at step
-    ``steps``: the cycle closes at W - 1 + period for the least W = 2^e with
-    W > steps and W >= period; a target on it, missed so far, comes (index(target)
-    - index(word)) mod period steps on.  No replay: the cycle's first step follows
-    the last turn start, so it shares the bracket [2^(e-1) - 1, 2^e - 1] of ``steps``."""
-    ring, at = _CYCLES[len(word)][word]
+def _learn(trail: list, steps: int, entry: tuple | None) -> None:
+    """Publish ``trail``'s turns ``(step, word)``, if they fit, from the future ``entry`` of
+    the word at ``steps``, or on a cycle of the first known word past the last turn off it."""
+    global _held
+    if entry is not None and entry[0] is not None and not entry[2]:
+        while trail and trail[-1][1] in _TABLE.get(len(trail[-1][1]), ()):
+            trail.pop()
+        steps, word = trail[-1] if trail else (0, "")
+        entry = None
+        for steps in range(steps + 1, steps + 1 + len(word) // 3):
+            word = word[3:] + DEFAULT_PRODUCTION[word[0]]
+            if (entry := _TABLE.get(len(word), {}).get(word)) is not None:
+                break
+    size = sum(len(word) for _, word in trail)
+    if entry is not None and _held + size <= _TABLE_SYMBOLS:
+        _held += size
+        for step, word in trail:
+            _TABLE.setdefault(len(word), {})[word] = (*entry[:2], entry[2] + steps - step)
+
+
+def _jump(word: str, steps: int, budget: int, target: str | None) -> RunOutcome | None:
+    """``run``'s outcome from its turn on a known word, ``word`` at step ``steps``,
+    or None if that does not decide it.  A word off the cycle decides only runs
+    with no target whose budget reaches its halt or mu, the cycle's first step.
+    The cycle closes at W - 1 + period for the least W = 2^e > mu with W >= period,
+    and a target on it comes (index(target) - index(word)) mod period steps on;
+    on the cycle, mu shares the bracket of ``steps``, so no replay is needed."""
+    ring, at, dist = _TABLE[len(word)][word]
+    mu = steps + dist
+    if dist and (target is not None or mu > budget):
+        return None
+    if ring is None:
+        return RunOutcome(OutcomeKind.HALTED, mu, at)
     period = len(ring)
-    detected = (1 << max(steps.bit_length(), (period - 1).bit_length())) - 1 + period
-    hit = None if target is None else _CYCLES.get(len(target), {}).get(target)
-    if hit is not None and hit[0] is ring and (reached := steps + (hit[1] - at) % period) <= budget:
+    detected = (1 << max(mu.bit_length(), (period - 1).bit_length())) - 1 + period
+    hit = None if target is None else _TABLE.get(len(target), {}).get(target)
+    if (hit is not None and hit[0] is ring and not hit[2]
+            and (reached := steps + (hit[1] - at) % period) <= budget):
         return RunOutcome(OutcomeKind.TARGET_REACHED, reached, target)
     end = min(detected, budget)
-    final = ring[(at + end - steps) % period]
+    final = ring[(at + end - mu) % period]
     if end < detected:
         return RunOutcome(OutcomeKind.BUDGET_EXHAUSTED, end, final)
     return RunOutcome(OutcomeKind.CYCLED, end, final, period)
@@ -175,8 +207,8 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
     each chunk's every-third-symbol view is searched for the target and the
     snapshot (``_first_match``), so the outcome is the one a step-by-step
     loop gives.  Each compared word's needle is sliced once per snapshot.
-    A detected cycle joins the table of known cycles, and a turn whose word
-    is on one ends the run in closed form (``_jump``).
+    A detected cycle, and with no target the turn words that fit, join the table
+    of known futures; a turn on a known word that decides the run ends it (``_jump``).
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -185,6 +217,8 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
         check_word(target)
         target_needle = target[0:3 * _PREFIX:3]
     target_size = -1 if target is None else len(target)
+    trail = []
+    room = -1 if target is not None else _TABLE_SYMBOLS - _held
     refresh = steps = 0
     while True:
         if steps == refresh:
@@ -196,11 +230,17 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
         if size == target_size and word == target:
             return RunOutcome(OutcomeKind.TARGET_REACHED, steps, word)
         if size < 3:
+            _learn(trail, steps, (None, word, 0))
             return RunOutcome(OutcomeKind.HALTED, steps, word)
         if steps == budget:
             return RunOutcome(OutcomeKind.BUDGET_EXHAUSTED, steps, word)
-        if size in _CYCLES and word in _CYCLES[size]:
-            return _jump(word, steps, budget, target)
+        if size in _TABLE and word in _TABLE[size]:
+            if (outcome := _jump(word, steps, budget, target)) is not None:
+                _learn(trail, steps, _TABLE[size][word])
+                return outcome
+        elif size <= room and size <= _LEARN:
+            trail.append((steps, word))
+            room -= size
         k = size // 3
         if k > budget - steps:
             k = budget - steps
@@ -226,7 +266,7 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
             j = _first_match(full, view, size, saved, saved_needle, k)
             if j is not None:
                 period = steps + j - refresh // 2  # the snapshot's step
-                _remember(saved, period)
+                _learn(trail, refresh // 2, _remember(saved, period))
                 return RunOutcome(OutcomeKind.CYCLED, steps + j, saved, period)
         word = full[3 * k:]
         steps += k

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from taglab import cli, words
+from taglab import cli, core, words
 from taglab.certify import Quadruplet, render_certificate, seed_quadruplet, verify_chain
 from taglab.cli import main, parse_args
 from taglab.core import OutcomeKind, run
@@ -65,6 +66,37 @@ def test_simulate_reports_cycles(capsys):
     kind, steps, length, cycle = out.split()
     assert kind == "Cycled"
     assert cycle == "6"
+
+
+# The console-script outputs README and the CI step state, checked here in
+# process: simulate's exact lines and the digest of the 3x3 growth grid.
+CONSOLE_PINS = [
+    (["simulate", "--word", "100100100", "--budget", "1000"], "Cycled 21 16 6\n"),
+    (["simulate", "--word", "110111010000", "--budget", "1000"], "Cycled 7 13 4\n"),
+    (["verify-theorem", "2", "2", "200000"],
+     "b875c7c67372222bc634c9a097171e8354683560ce1a51cea9645887b031ea28"),
+]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_console_pins_hold_on_a_cold_and_a_warm_table(capsys, warm):
+    # run's table of known futures starts empty, or warmed by a list of short
+    # words and the pinned words themselves, so that simulate ends from a
+    # word learned on the way to its cycle; no output depends on which
+    core._TABLE.clear()
+    core._held = 0
+    if warm:
+        rng = random.Random(5)
+        for word in ["".join(rng.choice("01") for _ in range(rng.randint(8, 64)))
+                     for _ in range(300)] + ["100100100", "110111010000"]:
+            run(word, budget=20000)
+        assert any(dist for table in core._TABLE.values() for _, _, dist in table.values())
+    for argv, pinned in CONSOLE_PINS:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        if argv[0] == "verify-theorem":
+            out = hashlib.sha256(out.encode()).hexdigest()
+        assert out == pinned
 
 
 def test_simulate_budget_exhaustion_exit_code(capsys):

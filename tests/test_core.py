@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,23 +96,28 @@ def brent_detection(mu, period):
     return window - 1 + period
 
 
-def forget_cycles():
-    """Empty ``run``'s table of known cycles."""
-    core._CYCLES.clear()
+def forget_table():
+    """Empty ``run``'s table of words with a known future."""
+    core._TABLE.clear()
     core._held = 0
 
 
 @pytest.fixture(autouse=True)
 def cold_table():
     """Every test starts from an empty table, whatever ran before it."""
-    forget_cycles()
+    forget_table()
+
+
+def table_entries():
+    """Every ``(word, (ring, at, dist))`` in the table."""
+    return [item for table in core._TABLE.values() for item in table.items()]
 
 
 def known_rings():
-    """The distinct rings in the table, in the order they were added."""
+    """The distinct cycles in the table, from the entries of their words."""
     rings = {}
-    for table in core._CYCLES.values():
-        for ring, _ in table.values():
+    for _, (ring, _, dist) in table_entries():
+        if ring is not None and not dist:
             rings[id(ring)] = ring
     return list(rings.values())
 
@@ -286,7 +292,7 @@ def test_run_agrees_with_reference_run_on_every_short_word(monkeypatch):
         raise AssertionError(f"cycle of {word} detected step by step")
 
     for budget in (1, 5, 37, 2000):
-        forget_cycles()
+        forget_table()
         expected = [reference_run(word, budget=budget) for word in short]
         assert [run(word, budget=budget) for word in short] == expected
         assert known_rings() or budget < 7
@@ -462,7 +468,7 @@ def test_run_is_deterministic():
     assert first.kind is OutcomeKind.CYCLED and known_rings()
     second = run("10110100101", budget=5000)
     assert first == second
-    forget_cycles()
+    forget_table()
     assert run("10110100101", budget=5000) == first
 
 
@@ -561,27 +567,33 @@ def cycles_entered_inside_a_chunk():
 
 
 def test_jump_from_a_turn_inside_the_cycle(monkeypatch):
-    # the premise of _jump: a cycle entered inside a chunk is known at the
-    # next turn start s, and mu shares s's power-of-two bracket; the warm run
-    # jumps at s and still ends as step-by-step runs do, at every budget from
-    # s to one past the detection step D, with no target or each one on the
-    # ring (which holds the words at D - 1 and D + 1)
+    # the premise of _jump from a word on the cycle: a cycle entered inside a
+    # chunk is known at the next turn start s, and mu shares s's power-of-two
+    # bracket; with only the ring known, the run jumps at s and still ends as
+    # step-by-step runs do, at every budget from s to one past the detection
+    # step D, with no target or each one on the ring (which holds the words at
+    # D - 1 and D + 1)
     cases = cycles_entered_inside_a_chunk()
     assert {s.bit_length() for _, _, _, s in cases} >= {2, 3, 4, 5}
     jumps = []
     jump = core._jump
 
     def recorded(word, steps, budget, target):
-        jumps.append(steps)
-        return jump(word, steps, budget, target)
+        outcome = jump(word, steps, budget, target)
+        if outcome is not None:
+            jumps.append(steps)
+        return outcome
 
     for word, mu, period, s in cases:
         assert mu.bit_length() == s.bit_length()
-        run(word, budget=20000)
         detected = brent_detection(mu, period)
         ring = [orbit_word(word, mu + i) for i in range(period)]
         for budget in range(s, detected + 2):
             for target in [None, *ring]:
+                # a run with no target learns the path to the ring: forget it
+                forget_table()
+                run(ring[0], budget=20000)
+                assert len(table_entries()) == period
                 jumps.clear()
                 with monkeypatch.context() as patch:
                     patch.setattr(core, "_jump", recorded)
@@ -590,10 +602,24 @@ def test_jump_from_a_turn_inside_the_cycle(monkeypatch):
                 assert jumps == ([s] if outcome.steps_taken > s else [])
 
 
-def test_known_cycles_are_true_cycles():
+def test_a_word_learned_off_the_cycle_is_not_reached_from_it():
+    # 100100100 is learned as a word some steps before its cycle, so it is in
+    # the table with that ring; a run from the ring with it as target cycles
+    run("100100100", budget=1000)
+    ring, _, dist = core._TABLE[9]["100100100"]
+    assert ring is not None and dist
+    for member in ring:
+        outcome = run(member, budget=1000, target="100100100")
+        assert outcome.kind is OutcomeKind.CYCLED
+        assert outcome == reference_run(member, budget=1000, target="100100100")
+
+
+def test_known_cycles_are_true_cycles(monkeypatch):
+    # with room for every ring next to the paths that lead to them
+    monkeypatch.setattr(core, "_TABLE_SYMBOLS", 1 << 20)
     outcomes = [run(word, budget=20000) for word in orbit_like_words(7, 400)]
     cycled = [o for o in outcomes if o.kind is OutcomeKind.CYCLED]
-    found = [core._CYCLES[len(o.final)][o.final][0] for o in cycled]
+    found = [core._TABLE[len(o.final)][o.final][0] for o in cycled]
     assert [len(ring) for ring in found] == [o.cycle_length for o in cycled]
     rings = known_rings()
     assert set(map(id, found)) == set(map(id, rings)) and len(rings) > 10
@@ -601,8 +627,83 @@ def test_known_cycles_are_true_cycles():
         assert len(ring) == hash_trace_cycle(ring[0])
         for index, member in enumerate(ring):
             assert step(member) == ring[(index + 1) % len(ring)]
-            assert core._CYCLES[len(member)][member] == (ring, index)
-    assert core._held == sum(len(member) for ring in rings for member in ring)
+            assert core._TABLE[len(member)][member] == (ring, index, 0)
+    assert core._held == sum(len(word) for word, _ in table_entries())
+
+
+def test_known_halts_and_paths_are_true():
+    # a word that halts after dist steps at ``at`` steps only words long
+    # enough to step, and ``at`` is not; a word dist steps before its cycle
+    # reaches ring[at], a known cycle, from a word off the ring
+    for word in orbit_like_words(7, 40):
+        run(word, budget=20000)
+    rings = set(map(id, known_rings()))
+    halts = paths = 0
+    for word, (ring, at, dist) in table_entries():
+        if ring is not None and not dist:
+            continue
+        path = [word]
+        for _ in range(dist):
+            path.append(step(path[-1]))
+        assert dist and min(map(len, path[:-1])) >= 3
+        if ring is None:
+            halts += 1
+            assert path[-1] == at and len(at) < 3
+        else:
+            paths += 1
+            assert id(ring) in rings and path[-1] == ring[at] and path[-2] not in ring
+    assert halts > 100 and paths > 100
+
+
+def fate_marks(word, limit=20000):
+    """Steps where ``run``'s outcome from ``word`` changes: its halt, or the
+    first step on its cycle and the step where that cycle is detected, with
+    the cycle's period, or ``limit`` when neither comes first."""
+    shape = hash_trace(word, limit)
+    if shape is not None:
+        return [shape[0], brent_detection(*shape)], shape[1]
+    for steps in range(limit):
+        if len(word) < 3:
+            return [steps], 1
+        word = step(word)
+    return [limit], 1
+
+
+@st.composite
+def list_warm_cases(draw):
+    """A list of words that warms the table, and runs to compare: from a word
+    on one of their orbits or a fresh one, at a budget around its halt, its
+    cycle's first step or the cycle's detection, with no target or one on the
+    word's orbit or a warm word's, which may lead to the same cycle."""
+    warm = draw(st.lists(st.text(alphabet="01", min_size=8, max_size=64),
+                         min_size=1, max_size=12))
+    cases = []
+    for _ in range(draw(st.integers(1, 4))):
+        base = draw(st.sampled_from(warm) | st.text(alphabet="01", max_size=64))
+        start = orbit_word(base, draw(st.integers(0, 80)))
+        marks, period = fate_marks(start)
+        near = draw(st.sampled_from(marks))
+        budget = max(1, near + draw(st.integers(-period - 3, period + 3)))
+        target = None
+        if draw(st.booleans()):
+            origin = draw(st.sampled_from([start, *warm]))
+            target = orbit_word(origin, draw(st.integers(0, budget + 1)))
+        cases.append((start, budget, target))
+    return warm, cases
+
+
+@given(list_warm_cases())
+@settings(max_examples=100, deadline=None)
+def test_list_warmed_runs_agree_with_reference_run(case):
+    warm, cases = case
+    forget_table()
+    for word in warm:
+        run(word, budget=20000)
+    for start, budget, target in cases:
+        assert run(start, budget=budget, target=target) == reference_run(
+            start, budget=budget, target=target
+        )
+        assert core._held <= core._TABLE_SYMBOLS
 
 
 def test_table_keeps_its_bound_and_runs_stay_exact(monkeypatch):
@@ -613,12 +714,31 @@ def test_table_keeps_its_bound_and_runs_stay_exact(monkeypatch):
         outcome = run(word, budget=20000)
         assert outcome == reference_run(word, budget=20000)
         assert core._held <= 600
-        for ring in known_rings():
-            for index, member in enumerate(ring):
-                assert stored.setdefault(member, (ring, index)) == (ring, index)
+        for member, entry in table_entries():
+            assert stored.setdefault(member, entry) == entry
         refused += outcome.kind is OutcomeKind.CYCLED and outcome.final not in stored
-    assert len(stored) == sum(map(len, core._CYCLES.values())) and refused
+    assert len(stored) == len(table_entries()) and refused
+    assert any(dist for _, _, dist in stored.values())
     assert core._held == sum(map(len, stored))
+
+
+def test_recording_keeps_to_the_table_room(monkeypatch):
+    # a run with no target records its turn words only while the table has
+    # room for them, so a long run on a growing word holds a bounded record
+    # whatever its budget; B's words are longer than _LEARN, so every length
+    # is learned here, and only the room bounds the record (without it the
+    # peak is about 40 times the room)
+    room = 1 << 14
+    monkeypatch.setattr(core, "_TABLE_SYMBOLS", room)
+    monkeypatch.setattr(core, "_LEARN", 1 << 30)
+    tracemalloc.start()
+    try:
+        outcome = run(words.B, budget=200000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome.kind is OutcomeKind.BUDGET_EXHAUSTED and not table_entries()
+    assert peak < 4 * room
 
 
 def test_warm_table_keeps_ten_thousand_steps_from_b():
