@@ -13,13 +13,15 @@ Target and cycle detection search that view for the other word's
 every-third-symbol prefix with ``str.find``, so every hit is a step, and
 accept a hit whose running length (each sampled symbol changes it by
 ``len(production) - 3``: -1 for a 0, +1 for a 1) equals the other word's and
-where the chunk holds the whole word, which keeps detection exact.
+where the chunk holds the whole word, which keeps detection exact.  Each
+chunk takes len/3 steps, or the budget's rest, across cycle snapshot steps.
 
 ``run`` remembers the cycles that earlier runs detected and the futures of
 the turn words of runs with no target, in a table of at most ``_TABLE_SYMBOLS``
 symbols that stops adding when full and never evicts; a run ends in closed form
-at its first turn on a known word that decides it (``_jump``).  No result
-depends on what ran before.
+at its first turn on a known word that decides it (``_jump``), where the
+snapshot's membership in the cycle gives the bracket of the cycle's first
+step.  No result depends on what ran before.
 """
 
 from __future__ import annotations
@@ -80,16 +82,15 @@ class OutcomeKind(enum.Enum):
     TARGET_REACHED = "TargetReached"
 
 
-class RunOutcome(namedtuple("RunOutcome", "kind steps_taken final cycle_length", defaults=(None,))):
+class RunOutcome(namedtuple("RunOutcome", "kind steps_taken final cycle_length")):
     """How a run ended: its kind, step count, final word and, for a cycle, its period."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if (self.cycle_length is not None) != (self.kind is OutcomeKind.CYCLED):
+    def __new__(cls, kind, steps_taken, final, cycle_length=None):
+        if (cycle_length is not None) != (kind is OutcomeKind.CYCLED):
             raise ValueError("cycle_length is present exactly when the run cycled")
-        return self
+        return tuple.__new__(cls, (kind, steps_taken, final, cycle_length))
 
 
 # Length of the every-third-symbol prefix of the other word that a chunk's
@@ -98,8 +99,8 @@ class RunOutcome(namedtuple("RunOutcome", "kind steps_taken final cycle_length",
 _PREFIX = 32
 
 
-def _first_match(full, view, size, other, needle, hi):
-    """The first ``j`` in 1..hi at which the chunk ``full`` passes through ``other``.
+def _first_match(full, view, size, other, needle, hi, j):
+    """The first step in j..hi at which the chunk ``full`` passes through ``other``.
 
     ``full`` is the chunk's word of ``size`` symbols followed by the expansion
     of its sampled symbols, so the word after ``j`` steps is
@@ -108,14 +109,14 @@ def _first_match(full, view, size, other, needle, hi):
     sampled symbols.  ``view`` is ``full[0:3*(hi + _PREFIX):3]`` or longer:
     its first symbols are the sampled ones, and step ``j`` sits at its index
     ``j``.  Candidates are the steps where ``view`` holds ``needle``, the
-    prefix ``other[0:3*_PREFIX:3]``; one matches when ``L == len(other)`` and
-    ``other`` starts there in ``full``.  A length that is off by ``d`` rules
-    out the next ``d // _SPREAD - 1`` steps too.  Returns ``j``, or ``None``.
+    prefix ``other[0:3*_PREFIX:3]``, from ``j``, the first that the caller's
+    ``find`` sees; one matches when ``L == len(other)`` and ``other`` starts
+    there in ``full``.  A length that is off by ``d`` rules out the next
+    ``d // _SPREAD - 1`` steps too.  Returns the step, or ``None``.
     """
     goal = len(other)
     end = hi + len(needle)
     ones = counted = 0
-    j = view.find(needle, 1, end)
     while j >= 0:
         ones += view.count("1", counted, j)
         counted = j
@@ -155,6 +156,8 @@ def _learn(trail: list, steps: int, entry: tuple | None) -> None:
     """Publish ``trail``'s turns ``(step, word)``, if they fit, from the future ``entry`` of
     the word at ``steps``, or on a cycle of the first known word past the last turn off it."""
     global _held
+    if not trail:
+        return
     if entry is not None and entry[0] is not None and not entry[2]:
         while trail and trail[-1][1] in _TABLE.get(len(trail[-1][1]), ()):
             trail.pop()
@@ -171,21 +174,28 @@ def _learn(trail: list, steps: int, entry: tuple | None) -> None:
             _TABLE.setdefault(len(word), {})[word] = (*entry[:2], entry[2] + steps - step)
 
 
-def _jump(word: str, steps: int, budget: int, target: str | None) -> RunOutcome | None:
-    """``run``'s outcome from its turn on a known word, ``word`` at step ``steps``,
-    or None if that does not decide it.  A word off the cycle decides only runs
-    with no target whose budget reaches its halt or mu, the cycle's first step.
-    The cycle closes at W - 1 + period for the least W = 2^e > mu with W >= period,
-    and a target on it comes (index(target) - index(word)) mod period steps on;
-    on the cycle, mu shares the bracket of ``steps``, so no replay is needed."""
-    ring, at, dist = _TABLE[len(word)][word]
+def _jump(entry: tuple, steps: int, budget: int, target: str | None,
+          saved: str, refresh: int) -> RunOutcome | None:
+    """``run``'s outcome from its turn at step ``steps`` on a word with the table
+    entry ``entry``, or None if that does not decide it.  A word off the cycle
+    decides only runs with no target whose budget reaches its halt or mu, the
+    cycle's first step.  The cycle closes at W - 1 + period for the least
+    W = 2^e > b with W >= period: b is mu off the cycle; on it, b is the step
+    refresh // 2 of the snapshot ``saved`` if that is on the ring (mu is not
+    later), else ``refresh`` (mu is later), both in mu's bracket.  A target on
+    the cycle comes (index(target) - index(word)) mod period steps on."""
+    ring, at, dist = entry
     mu = steps + dist
     if dist and (target is not None or mu > budget):
         return None
     if ring is None:
         return RunOutcome(OutcomeKind.HALTED, mu, at)
     period = len(ring)
-    detected = (1 << max(mu.bit_length(), (period - 1).bit_length())) - 1 + period
+    bracket = mu
+    if not dist:
+        known = _TABLE.get(len(saved), {}).get(saved, (None,))
+        bracket = refresh // 2 if known[0] is ring and not known[2] else refresh
+    detected = (1 << max(bracket.bit_length(), (period - 1).bit_length())) - 1 + period
     hit = None if target is None else _TABLE.get(len(target), {}).get(target)
     if (hit is not None and hit[0] is ring and not hit[2]
             and (reached := steps + (hit[1] - at) % period) <= budget):
@@ -203,8 +213,8 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
     Repeats are found with constant extra memory: the live configuration is
     raced against a snapshot that is replaced after steps 2^e - 1 (1, 3, 7,
     15, ...), so the first match after a replacement yields the exact period.
-    Steps are taken in closed-form chunks that end at every replacement, and
-    each chunk's every-third-symbol view is searched for the target and the
+    Steps are taken in closed-form chunks of len/3 steps across replacements,
+    and each chunk's every-third-symbol view is searched for the target and the
     snapshot (``_first_match``), so the outcome is the one a step-by-step
     loop gives.  Each compared word's needle is sliced once per snapshot.
     A detected cycle, and with no target the turn words that fit, join the table
@@ -219,13 +229,9 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
     target_size = -1 if target is None else len(target)
     trail = []
     room = -1 if target is not None else _TABLE_SYMBOLS - _held
-    refresh = steps = 0
+    saved, saved_size, saved_needle = word, len(word), word[0:3 * _PREFIX:3]
+    refresh, steps = 1, 0
     while True:
-        if steps == refresh:
-            saved = word
-            saved_size = len(word)
-            saved_needle = word[0:3 * _PREFIX:3]
-            refresh = 2 * steps + 1
         size = len(word)
         if size == target_size and word == target:
             return RunOutcome(OutcomeKind.TARGET_REACHED, steps, word)
@@ -234,9 +240,9 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
             return RunOutcome(OutcomeKind.HALTED, steps, word)
         if steps == budget:
             return RunOutcome(OutcomeKind.BUDGET_EXHAUSTED, steps, word)
-        if size in _TABLE and word in _TABLE[size]:
-            if (outcome := _jump(word, steps, budget, target)) is not None:
-                _learn(trail, steps, _TABLE[size][word])
+        if (known := _TABLE.get(size)) and (entry := known.get(word)) is not None:
+            if (outcome := _jump(entry, steps, budget, target, saved, refresh)) is not None:
+                _learn(trail, steps, entry)
                 return outcome
         elif size <= room and size <= _LEARN:
             trail.append((steps, word))
@@ -244,30 +250,39 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
         k = size // 3
         if k > budget - steps:
             k = budget - steps
-        if k > refresh - steps:
-            k = refresh - steps
         sampled = word[0:3 * k:3]
         full = word + _expand(sampled)
         reach = k * _SPREAD
-        near_saved = -reach <= size - saved_size <= reach
-        near_target = target is not None and -reach <= size - target_size <= reach
-        if near_target or near_saved:
-            # The sampled symbols are the view's first k; the needles reach
-            # at most _PREFIX symbols past the last step.
-            view = sampled + full[3 * k:3 * (k + _PREFIX):3]
+        # The sampled symbols are the view's first k; the needles reach at
+        # most _PREFIX symbols past the last step.  Built at the first search.
+        view = None
         # The target check after the chunk's last step opens the next turn.
         # A target found here always precedes a repeat: every word after
         # the snapshot repeats one that was already compared with it.
-        if near_target:
-            j = _first_match(full, view, size, target, target_needle, k - 1)
-            if j is not None:
+        if target is not None and -reach <= size - target_size <= reach:
+            view = sampled + full[3 * k:3 * (k + _PREFIX):3]
+            j = view.find(target_needle, 1, k - 1 + len(target_needle))
+            if j >= 0 and (j := _first_match(full, view, size, target, target_needle,
+                                             k - 1, j)) is not None:
                 return RunOutcome(OutcomeKind.TARGET_REACHED, steps + j, target)
-        if near_saved:
-            j = _first_match(full, view, size, saved, saved_needle, k)
-            if j is not None:
-                period = steps + j - refresh // 2  # the snapshot's step
-                _learn(trail, refresh // 2, _remember(saved, period))
-                return RunOutcome(OutcomeKind.CYCLED, steps + j, saved, period)
+        # Steps lo + 1..hi race the snapshot, which the word at a snapshot
+        # step hi replaces, its length counted from the 1s before it.
+        hi = 0
+        while hi < k:
+            lo, hi = hi, refresh - steps if refresh < steps + k else k
+            if -reach <= size - saved_size <= reach:
+                view = view or sampled + full[3 * k:3 * (k + _PREFIX):3]
+                j = view.find(saved_needle, lo + 1, hi + len(saved_needle))
+                if j >= 0 and (j := _first_match(full, view, size, saved, saved_needle,
+                                                 hi, j)) is not None:
+                    period = steps + j - refresh // 2  # the snapshot's step
+                    _learn(trail, refresh // 2, _remember(saved, period))
+                    return RunOutcome(OutcomeKind.CYCLED, steps + j, saved, period)
+            if steps + hi == refresh:
+                saved_size = size + hi * _ZERO_DELTA + sampled.count("1", 0, hi) * _ONE_EXTRA
+                saved = full[3 * hi:3 * hi + saved_size]
+                saved_needle = saved[0:3 * _PREFIX:3]
+                refresh = 2 * refresh + 1
         word = full[3 * k:]
         steps += k
 

@@ -73,6 +73,9 @@ def test_simulate_reports_cycles(capsys):
 CONSOLE_PINS = [
     (["simulate", "--word", "100100100", "--budget", "1000"], "Cycled 21 16 6\n"),
     (["simulate", "--word", "110111010000", "--budget", "1000"], "Cycled 7 13 4\n"),
+    # mu past the snapshot a chunk takes inside it, and mu before it
+    (["simulate", "--word", "0001001", "--budget", "1000"], "Cycled 37 14 6\n"),
+    (["simulate", "--word", "100000100000", "--budget", "1000"], "Cycled 37 17 6\n"),
     (["verify-theorem", "2", "2", "200000"],
      "b875c7c67372222bc634c9a097171e8354683560ce1a51cea9645887b031ea28"),
 ]

@@ -1,6 +1,8 @@
 """Simulation engine: steps, runs, cycle detection, token round trips."""
 
+import copy
 import itertools
+import pickle
 import random
 import tracemalloc
 
@@ -256,9 +258,13 @@ def test_run_agrees_with_reference_run(case):
 # compare.  An off-grid target occurs in the chunk between two steps; a
 # run of zeros puts a prefix hit just before a real match; the cycle of
 # 001101 closes at the last step of a chunk of k steps that starts exactly
-# k symbols away from the snapshot's length, and that of (001101)^18 closes at
-# the last step of a chunk, where a snapshot longer than 3 * _PREFIX needs
-# the chunk's view to reach _PREFIX steps past it.
+# k symbols away from the snapshot's length, and that of (0001001)^21 closes
+# at the last step of a chunk, where a snapshot longer than 3 * _PREFIX needs
+# the chunk's view to reach _PREFIX steps past it; (001101)^18 takes its
+# snapshot at step 1 inside its first chunk and finds the cycle there, and
+# 00011000110011 finds it in the chunk after the one that took the snapshot
+# at step 31, whose length (13) is within reach where the previous
+# snapshot's (9) is not.
 PINNED_RUNS = [
     ("0" * 3000, "0" * 1000, 5000),
     ("0" * 3000, "0" * 999 + "1", 5000),
@@ -270,6 +276,8 @@ PINNED_RUNS = [
     ("1001110100000101001110101100101001100100010010111111011", "0" * 9, 1000),
     ("001101", None, 100),
     ("001101" * 18, None, 100),
+    ("0001001" * 21, None, 200),
+    ("00011000110011", None, 1000),
 ]
 
 
@@ -325,10 +333,12 @@ def chunk(word, k):
 
 def first_match(word, k, other, hi, extra=0):
     """``_first_match`` on the chunk of ``k`` steps, with the shortest view it
-    accepts plus ``extra`` steps."""
+    accepts plus ``extra`` steps, from the needle's first step as ``run`` finds it."""
     full = chunk(word, k)
     view = full[0:3 * (hi + _PREFIX + extra):3]
-    return _first_match(full, view, len(word), other, other[0:3 * _PREFIX:3], hi)
+    needle = other[0:3 * _PREFIX:3]
+    j = view.find(needle, 1, hi + len(needle))
+    return None if j < 0 else _first_match(full, view, len(word), other, needle, hi, j)
 
 
 def expect_first_match(word, k, other, hi, extra=0):
@@ -535,60 +545,83 @@ def test_warm_run_agrees_with_reference_run(case):
 
 
 def turn_starts(word, budget):
-    """The steps at which ``run``'s turns start, from its chunk schedule."""
-    starts, steps, refresh = [0], 0, 1
+    """The steps at which ``run``'s turns start: each chunk takes len/3 steps."""
+    starts, steps = [0], 0
     while len(word) >= 3 and steps < budget:
-        k = min(len(word) // 3, budget - steps, refresh - steps)
+        k = min(len(word) // 3, budget - steps)
         word = orbit_word(word, k)
         steps += k
-        if steps == refresh:
-            refresh = 2 * steps + 1
         starts.append(steps)
     return starts
 
 
-def cycles_entered_inside_a_chunk():
-    """``(word, mu, period, s)`` for one word of up to 12 symbols per shape
-    whose cycle's first step ``mu`` lies strictly between two turn starts,
-    ``s`` the later one."""
+def cycle_shapes(words, limit=3000):
+    """``{word: (mu, period) or None}``: ``hash_trace`` of every word met on
+    the orbits of ``words``, each orbit followed until it reaches a word
+    already placed, so that orbits which merge are stepped once."""
+    shapes = {}
+    for word in words:
+        path, seen = [], {}
+        while word not in shapes and word not in seen and len(word) >= 3 and len(path) < limit:
+            seen[word] = len(path)
+            path.append(word)
+            word = step(word)
+        shape = shapes.get(word)
+        if word in seen:
+            shape = (0, len(path) - seen[word])
+            for member in path[seen[word]:]:
+                shapes[member] = shape
+            del path[seen[word]:]
+        for member in reversed(path):
+            shape = shape and (shape[0] + 1, shape[1])
+            shapes[member] = shape
+    return shapes
+
+
+def cycles_entered_inside_a_snapshot_chunk():
+    """``(word, mu, period, s, r)`` for one word of up to 15 symbols per shape
+    whose cycle's first step ``mu`` lies strictly inside a chunk that ends at
+    the turn start ``s`` and takes the snapshot at step ``r`` strictly inside
+    it, the last snapshot step before ``s``."""
+    short = ["".join(symbols) for length in range(16)
+             for symbols in itertools.product("01", repeat=length)]
+    shapes = cycle_shapes(short)
     cases = {}
-    for length in range(13):
-        for symbols in itertools.product("01", repeat=length):
-            word = "".join(symbols)
-            shape = hash_trace(word, 3000)
-            if shape is None:
-                continue
-            mu, period = shape
+    for word in short:
+        if shapes.get(word) is not None:
+            mu, period = shapes[word]
             starts = turn_starts(word, brent_detection(mu, period))
             i = next(i for i, s in enumerate(starts) if s >= mu)
-            if i and starts[i - 1] < mu < starts[i]:
-                cases.setdefault((mu, period, starts[i]), (word, mu, period, starts[i]))
+            s = starts[i]
+            r = (1 << ((s + 1).bit_length() - 1)) - 1
+            if i and starts[i - 1] < min(mu, r) and max(mu, r) < s:
+                cases.setdefault((mu, period, s), (word, mu, period, s, r))
     return list(cases.values())
 
 
-def test_jump_from_a_turn_inside_the_cycle(monkeypatch):
+def test_jump_after_a_chunk_that_took_a_snapshot(monkeypatch):
     # the premise of _jump from a word on the cycle: a cycle entered inside a
-    # chunk is known at the next turn start s, and mu shares s's power-of-two
-    # bracket; with only the ring known, the run jumps at s and still ends as
-    # step-by-step runs do, at every budget from s to one past the detection
-    # step D, with no target or each one on the ring (which holds the words at
-    # D - 1 and D + 1)
-    cases = cycles_entered_inside_a_chunk()
-    assert {s.bit_length() for _, _, _, s in cases} >= {2, 3, 4, 5}
+    # chunk is known at the chunk's end s, and the snapshot taken inside it at
+    # step r is on the ring exactly when mu <= r, which gives mu's bracket;
+    # with only the ring known, the run jumps at s and still ends as
+    # step-by-step runs do, at every budget from s - 1 to one past the
+    # detection step D, with no target or each one on the ring
+    cases = cycles_entered_inside_a_snapshot_chunk()
+    assert {mu <= r for _, mu, _, _, r in cases} == {True, False}
     jumps = []
     jump = core._jump
 
-    def recorded(word, steps, budget, target):
-        outcome = jump(word, steps, budget, target)
+    def recorded(entry, steps, *args):
+        outcome = jump(entry, steps, *args)
         if outcome is not None:
             jumps.append(steps)
         return outcome
 
-    for word, mu, period, s in cases:
-        assert mu.bit_length() == s.bit_length()
+    for word, mu, period, s, r in cases:
+        assert hash_trace(word) == (mu, period)
         detected = brent_detection(mu, period)
         ring = [orbit_word(word, mu + i) for i in range(period)]
-        for budget in range(s, detected + 2):
+        for budget in range(s - 1, detected + 2):
             for target in [None, *ring]:
                 # a run with no target learns the path to the ring: forget it
                 forget_table()
@@ -755,6 +788,22 @@ def test_outcome_requires_cycle_length_consistency():
         RunOutcome(OutcomeKind.HALTED, 0, "0", cycle_length=3)
     with pytest.raises(ValueError):
         RunOutcome(OutcomeKind.CYCLED, 5, "000")
+    with pytest.raises(ValueError):
+        RunOutcome(kind=OutcomeKind.HALTED, steps_taken=0, final="0", cycle_length=3)
+    with pytest.raises(ValueError):
+        RunOutcome(kind=OutcomeKind.CYCLED, steps_taken=5, final="000")
+
+
+def test_outcome_default_and_copies():
+    halted = RunOutcome(kind=OutcomeKind.HALTED, steps_taken=4, final="00")
+    assert halted == (OutcomeKind.HALTED, 4, "00", None) and halted.cycle_length is None
+    cycled = RunOutcome(OutcomeKind.CYCLED, 21, "100100100", cycle_length=6)
+    for outcome in (halted, cycled):
+        copies = [copy.copy(outcome), copy.deepcopy(outcome)]
+        copies += [pickle.loads(pickle.dumps(outcome, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for copied in copies:
+            assert copied == outcome and type(copied) is RunOutcome
 
 
 def test_decode_tokens_of_first_family_word():
