@@ -16,12 +16,15 @@ accept a hit whose running length (each sampled symbol changes it by
 where the chunk holds the whole word, which keeps detection exact.  Each
 chunk takes len/3 steps, or the budget's rest, across cycle snapshot steps.
 
-``run`` remembers the cycles that earlier runs detected and the futures of
-the turn words of runs with no target, in a table of at most ``_TABLE_SYMBOLS``
-symbols that stops adding when full and never evicts; a run ends in closed form
-at its first turn on a known word that decides it (``_jump``), where the
-snapshot's membership in the cycle gives the bracket of the cycle's first
-step.  No result depends on what ran before.
+Cycle snapshots are taken at the steps 2^e - 1, and a cycle entered at step
+mu is first seen to close at D = 2^max(bitlen mu, bitlen(period - 1)) - 1 +
+period.  With no target ``run`` compares no snapshot before step ``_LAZY``,
+whose window decides all earlier ones, and moves a hit in it back to D.  It
+remembers the cycles that earlier runs detected and the futures of the turn
+words of runs with no target, in a table of at most ``_TABLE_SYMBOLS`` symbols
+that stops adding when full and never evicts; a run ends in closed form at its
+first turn on a known word that decides it (``_jump``).  No result depends on
+what ran before.
 """
 
 from __future__ import annotations
@@ -136,20 +139,26 @@ _held = 0
 # Longest turn word learned: orbits merge among short words, and recording and
 # hashing longer ones cost budget-exhausted runs more than later runs save.
 _LEARN = 128
+# Step of the first cycle snapshot that a run with no target compares (less on
+# a short budget): its window decides all earlier ones.  On the orbit lists the
+# median run took 0.0152 ms at 0 and 0.0086 ms at 1023; 255 to 4095 measured
+# alike, and a hit in the first window replays up to this many steps.
+_LAZY = (1 << 10) - 1
 
 
-def _remember(word: str, period: int) -> tuple | None:
-    """Publish the cycle through ``word`` if it fits, and return ``word``'s entry."""
+def _remember(word: str, period: int) -> tuple:
+    """Publish the cycle through ``word`` unless known or too big; return ``word``'s entry."""
     global _held
-    ring, room = [word], _TABLE_SYMBOLS - _held - len(word)
-    while len(ring) < period and room >= 0:
+    if (entry := _TABLE.get(len(word), {}).get(word)) is not None:
+        return entry
+    ring = [word]
+    while len(ring) < period:
         ring.append(word := word[3:] + DEFAULT_PRODUCTION[word[0]])
-        room -= len(word)
-    if room >= 0:
-        _held = _TABLE_SYMBOLS - room
+    if (size := sum(map(len, ring))) <= _TABLE_SYMBOLS - _held:
+        _held += size
         for index, member in enumerate(ring):
             _TABLE.setdefault(len(member), {})[member] = (ring, index, 0)
-        return ring, 0, 0
+    return ring, 0, 0
 
 
 def _learn(trail: list, steps: int, entry: tuple | None) -> None:
@@ -174,16 +183,23 @@ def _learn(trail: list, steps: int, entry: tuple | None) -> None:
             _TABLE.setdefault(len(word), {})[word] = (*entry[:2], entry[2] + steps - step)
 
 
+def _after(word: str, steps: int) -> str:
+    """The word ``steps`` steps after ``word``, which does not halt before."""
+    while steps:
+        k = min(len(word) // 3, steps)
+        word, steps = word[3 * k:] + _expand(word[0:3 * k:3]), steps - k
+    return word
+
+
 def _jump(entry: tuple, steps: int, budget: int, target: str | None,
-          saved: str, refresh: int) -> RunOutcome | None:
+          base: int, word: str) -> RunOutcome | None:
     """``run``'s outcome from its turn at step ``steps`` on a word with the table
     entry ``entry``, or None if that does not decide it.  A word off the cycle
     decides only runs with no target whose budget reaches its halt or mu, the
-    cycle's first step.  The cycle closes at W - 1 + period for the least
-    W = 2^e > b with W >= period: b is mu off the cycle; on it, b is the step
-    refresh // 2 of the snapshot ``saved`` if that is on the ring (mu is not
-    later), else ``refresh`` (mu is later), both in mu's bracket.  A target on
-    the cycle comes (index(target) - index(word)) mod period steps on."""
+    cycle's first step.  D needs mu only through its bit length: on the cycle,
+    the least e whose step 2^e - 1 is on it, stepped to from ``word``, the word
+    at step ``base`` <= mu (the previous turn's, or the run's first).  A target
+    on the cycle comes (index(target) - at) mod period steps on."""
     ring, at, dist = entry
     mu = steps + dist
     if dist and (target is not None or mu > budget):
@@ -191,11 +207,11 @@ def _jump(entry: tuple, steps: int, budget: int, target: str | None,
     if ring is None:
         return RunOutcome(OutcomeKind.HALTED, mu, at)
     period = len(ring)
-    bracket = mu
-    if not dist:
-        known = _TABLE.get(len(saved), {}).get(saved, (None,))
-        bracket = refresh // 2 if known[0] is ring and not known[2] else refresh
-    detected = (1 << max(bracket.bit_length(), (period - 1).bit_length())) - 1 + period
+    e = max((period - 1).bit_length(), (mu if dist else base).bit_length())
+    while (1 << e) - 1 < mu and (
+            _after(word, (1 << e) - 1 - base) != ring[(at + (1 << e) - 1 - mu) % period]):
+        e += 1
+    detected = (1 << e) - 1 + period
     hit = None if target is None else _TABLE.get(len(target), {}).get(target)
     if (hit is not None and hit[0] is ring and not hit[2]
             and (reached := steps + (hit[1] - at) % period) <= budget):
@@ -213,6 +229,8 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
     Repeats are found with constant extra memory: the live configuration is
     raced against a snapshot that is replaced after steps 2^e - 1 (1, 3, 7,
     15, ...), so the first match after a replacement yields the exact period.
+    With no target the first snapshot compared is the one at step ``lazy``,
+    and a hit in its window ends the run at the detection step D (``_jump``).
     Steps are taken in closed-form chunks of len/3 steps across replacements,
     and each chunk's every-third-symbol view is searched for the target and the
     snapshot (``_first_match``), so the outcome is the one a step-by-step
@@ -229,8 +247,12 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
     target_size = -1 if target is None else len(target)
     trail = []
     room = -1 if target is not None else _TABLE_SYMBOLS - _held
-    saved, saved_size, saved_needle = word, len(word), word[0:3 * _PREFIX:3]
-    refresh, steps = 1, 0
+    # With no target the first snapshot is at step lazy, the largest 2^e - 1 up to _LAZY whose
+    # window ends within the budget; an impossible length keeps earlier ones from being compared.
+    lazy = 0 if target is not None else min(_LAZY, (1 << (budget + 1).bit_length() - 2) - 1)
+    origin = last = saved = word
+    saved_size, saved_needle = (-budget * _SPREAD if lazy else len(word)), word[0:3 * _PREFIX:3]
+    refresh, steps, k = lazy or 1, 0, 0
     while True:
         size = len(word)
         if size == target_size and word == target:
@@ -241,7 +263,7 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
         if steps == budget:
             return RunOutcome(OutcomeKind.BUDGET_EXHAUSTED, steps, word)
         if (known := _TABLE.get(size)) and (entry := known.get(word)) is not None:
-            if (outcome := _jump(entry, steps, budget, target, saved, refresh)) is not None:
+            if (outcome := _jump(entry, steps, budget, target, steps - k, last)) is not None:
                 _learn(trail, steps, entry)
                 return outcome
         elif size <= room and size <= _LEARN:
@@ -276,14 +298,16 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
                 if j >= 0 and (j := _first_match(full, view, size, saved, saved_needle,
                                                  hi, j)) is not None:
                     period = steps + j - refresh // 2  # the snapshot's step
-                    _learn(trail, refresh // 2, _remember(saved, period))
+                    _learn(trail, refresh // 2, entry := _remember(saved, period))
+                    if refresh // 2 == lazy:  # D may precede steps + j: replay
+                        return _jump(entry, lazy, budget, None, 0, origin)
                     return RunOutcome(OutcomeKind.CYCLED, steps + j, saved, period)
             if steps + hi == refresh:
                 saved_size = size + hi * _ZERO_DELTA + sampled.count("1", 0, hi) * _ONE_EXTRA
                 saved = full[3 * hi:3 * hi + saved_size]
                 saved_needle = saved[0:3 * _PREFIX:3]
                 refresh = 2 * refresh + 1
-        word = full[3 * k:]
+        last, word = word, full[3 * k:]
         steps += k
 
 

@@ -76,6 +76,14 @@ CONSOLE_PINS = [
     # mu past the snapshot a chunk takes inside it, and mu before it
     (["simulate", "--word", "0001001", "--budget", "1000"], "Cycled 37 14 6\n"),
     (["simulate", "--word", "100000100000", "--budget", "1000"], "Cycled 37 17 6\n"),
+    # the same at a budget whose first searched window starts at step 1023,
+    # and a cycle entered at step 899, in that window
+    (["simulate", "--word", "100100100", "--budget", "200000"], "Cycled 21 16 6\n"),
+    (["simulate", "--word", "110111010000", "--budget", "200000"], "Cycled 7 13 4\n"),
+    (["simulate", "--word", "0001001", "--budget", "200000"], "Cycled 37 14 6\n"),
+    (["simulate", "--word", "100000100000", "--budget", "200000"], "Cycled 37 17 6\n"),
+    (["simulate", "--word", "1011111100111011011100", "--budget", "200000"],
+     "Cycled 1029 37 6\n"),
     (["verify-theorem", "2", "2", "200000"],
      "b875c7c67372222bc634c9a097171e8354683560ce1a51cea9645887b031ea28"),
 ]

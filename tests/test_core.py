@@ -124,6 +124,12 @@ def known_rings():
     return list(rings.values())
 
 
+def words_up_to(length):
+    """Every binary word of at most ``length`` symbols, shortest first."""
+    return ["".join(symbols) for n in range(length + 1)
+            for symbols in itertools.product("01", repeat=n)]
+
+
 def orbit_like_words(seed, count):
     """Random words of 8-64 symbols, as the orbits benchmark draws them."""
     rng = random.Random(seed)
@@ -293,8 +299,7 @@ def test_run_agrees_with_reference_run_on_every_short_word(monkeypatch):
     # snapshot is replaced after steps 1, 3, 7, ... before they close; first
     # from an empty table of known cycles, then again with every cycle known,
     # when no run may detect a cycle step by step, so each cycling word jumps
-    short = ["".join(symbols) for length in range(13)
-             for symbols in itertools.product("01", repeat=length)]
+    short = words_up_to(12)
 
     def detected_again(word, period):
         raise AssertionError(f"cycle of {word} detected step by step")
@@ -601,11 +606,13 @@ def cycles_entered_inside_a_snapshot_chunk():
 
 def test_jump_after_a_chunk_that_took_a_snapshot(monkeypatch):
     # the premise of _jump from a word on the cycle: a cycle entered inside a
-    # chunk is known at the chunk's end s, and the snapshot taken inside it at
-    # step r is on the ring exactly when mu <= r, which gives mu's bracket;
-    # with only the ring known, the run jumps at s and still ends as
-    # step-by-step runs do, at every budget from s - 1 to one past the
-    # detection step D, with no target or each one on the ring
+    # chunk is known at the chunk's end s, the chunk's first word is off the
+    # ring, and the words at the steps 2^e - 1 inside the chunk, stepped from
+    # that word, are on the ring exactly from mu on, so mu's bit length and
+    # the detection step D are exact whether mu comes before or after the
+    # snapshot step r; with only the ring known, the run jumps at s and still
+    # ends as step-by-step runs do, at every budget from s - 1 to one past D,
+    # with no target or each one on the ring
     cases = cycles_entered_inside_a_snapshot_chunk()
     assert {mu <= r for _, mu, _, _, r in cases} == {True, False}
     jumps = []
@@ -633,6 +640,98 @@ def test_jump_after_a_chunk_that_took_a_snapshot(monkeypatch):
                     outcome = run(word, budget=budget, target=target)
                 assert outcome == reference_run(word, budget=budget, target=target)
                 assert jumps == ([s] if outcome.steps_taken > s else [])
+
+
+@pytest.mark.parametrize("lazy", [0, 1, 3, 7])
+def test_run_agrees_with_reference_run_around_the_first_window(monkeypatch, lazy):
+    # a run with no target takes its first snapshot at step r0, the least of
+    # _LAZY and the largest 2^e - 1 whose window ends within the budget, and
+    # compares none before it; every word of up to 12 symbols, first from an
+    # empty table, at the budgets 2 r0, 2 r0 + 1 and 2 r0 + 2 around that
+    # window's end, and at r0, where the window of a snapshot at r0 would
+    # end past the budget, then with each list's cycles and paths known
+    monkeypatch.setattr(core, "_LAZY", lazy)
+    short = words_up_to(12)
+    for budget in sorted({max(1, lazy), max(1, 2 * lazy), 2 * lazy + 1, 2 * lazy + 2}):
+        expected = [reference_run(word, budget=budget) for word in short]
+        forget_table()
+        assert [run(word, budget=budget) for word in short] == expected
+        assert [run(word, budget=budget) for word in short] == expected
+
+
+def test_first_window_hit_ends_at_the_detection_step(monkeypatch):
+    # a hit in the first searched window comes at lazy + period, later than
+    # the step D where snapshots from step 0 on see the cycle close when mu
+    # is early; the run replays from its word to the steps 2^e - 1 to find
+    # mu's bit length, whether mu is a turn start or inside a chunk; one word
+    # per shape and place of mu on the orbits of words of up to 15 symbols,
+    # each from an empty table
+    shapes = cycle_shapes(words_up_to(15))
+    places = set()
+    for lazy in (1, 3, 7):
+        monkeypatch.setattr(core, "_LAZY", lazy)
+        budget = 4 * lazy + 4
+        cases = {}
+        for word, shape in shapes.items():
+            if shape is not None and shape[0] <= lazy and shape[1] <= lazy + 1:
+                cases.setdefault((*shape, shape[0] in turn_starts(word, budget)), word)
+        for (mu, period, at_turn), word in cases.items():
+            forget_table()
+            outcome = run(word, budget=budget)
+            assert outcome == reference_run(word, budget=budget)
+            assert outcome.steps_taken == brent_detection(mu, period)
+            places.add((at_turn, outcome.steps_taken < lazy + period))
+    assert places == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_ring_jump_after_the_detection_step(monkeypatch):
+    # with no snapshot compared before step _LAZY, a run can first turn on a
+    # word of a known ring at a step s past the step D where the snapshots
+    # see its cycle close; it jumps at s and ends at D, as step-by-step runs
+    # do: one word per shape on the orbits of words of up to 15 symbols with
+    # _LAZY at 1, 3 and 7, and two longer words at its own value
+    jump = core._jump
+    late = []
+
+    def recorded(entry, steps, *args):
+        outcome = jump(entry, steps, *args)
+        if outcome is not None and outcome.steps_taken < steps:
+            late.append(steps)
+        return outcome
+
+    shapes = cycle_shapes(words_up_to(15))
+    cases = {}
+    for lazy in (1, 3, 7):
+        for word, shape in shapes.items():
+            if shape is not None and shape[0] <= lazy:
+                s = next(s for s in turn_starts(word, 4 * lazy + 4) if s >= shape[0])
+                if brent_detection(*shape) < s < lazy + shape[1]:
+                    cases.setdefault((lazy, *shape, s), (word, lazy, 4 * lazy + 4))
+    cases = [*cases.values(), ("0101011100101101011111001", core._LAZY, 20000),
+             ("10100111100010100010100110001", core._LAZY, 20000)]
+    for word, lazy, budget in cases:
+        mu = hash_trace(word)[0]
+        monkeypatch.setattr(core, "_LAZY", lazy)
+        forget_table()
+        run(orbit_word(word, mu), budget=20000)
+        late.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "_jump", recorded)
+            outcome = run(word, budget=budget)
+        assert outcome == reference_run(word, budget=budget)
+        assert late == [next(s for s in turn_starts(word, budget) if s >= mu)]
+    assert len(cases) > 2
+
+
+def test_remember_returns_a_known_cycle_as_it_is():
+    # detecting a cycle that the table already holds adds nothing to it
+    ring = orbit_words_on_cycle("100100100")
+    first = core._remember(ring[0], len(ring))
+    held = core._held
+    assert core._remember(ring[0], len(ring)) == first
+    assert core._remember(ring[0], len(ring))[0] is first[0]
+    assert core._remember(ring[2], len(ring)) == (first[0], 2, 0)
+    assert core._held == held == sum(map(len, ring))
 
 
 def test_a_word_learned_off_the_cycle_is_not_reached_from_it():
