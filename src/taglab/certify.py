@@ -213,11 +213,11 @@ def _entry(data: dict, key: str) -> str:
         raise ValueError(f"certificate document is missing {key!r}") from None
 
 
-def _flag(data: dict, key: str) -> bool:
+def _flag(data: dict, key: str, words: tuple[str, str] = ("pass", "fail")) -> bool:
     value = _entry(data, key)
-    if value not in ("pass", "fail"):
-        raise ValueError(f"{key!r} must be pass or fail, got {value!r}")
-    return value == "pass"
+    if value not in words:
+        raise ValueError(f"{key!r} must be {words[0]} or {words[1]}, got {value!r}")
+    return value == words[0]
 
 
 def _quadruplet(data: dict, prefix: str) -> Quadruplet:
@@ -243,6 +243,8 @@ def parse_certificate(text: str) -> ChainCertificate:
         raise ValueError(f"unsupported certificate version {data['version']!r}")
     quadruplets = [_quadruplet(data, "seed")]
     steps = int(_entry(data, "steps"))
+    if steps < 0:
+        raise ValueError(f"steps must not be negative, got {steps}")
     certificates = []
     for i in range(1, steps + 1):
         y = int(_entry(data, f"step.{i}.y"))
@@ -252,10 +254,8 @@ def parse_certificate(text: str) -> ChainCertificate:
         derived = _quadruplet(data, f"step.{i}.derived")
         certificates.append(StepCertificate(quadruplets[-1], derived, y, checks))
         quadruplets.append(derived)
-    closure_value = _entry(data, "closure_ok")
-    if closure_value not in ("true", "false"):
-        raise ValueError(f"closure_ok must be true or false, got {closure_value!r}")
+    closure_ok = _flag(data, "closure_ok", ("true", "false"))
     expected_keys = 7 + 11 * steps
     if len(data) != expected_keys:
         raise ValueError(f"certificate has {len(data)} entries, expected {expected_keys}")
-    return ChainCertificate(tuple(quadruplets), tuple(certificates), closure_value == "true")
+    return ChainCertificate(tuple(quadruplets), tuple(certificates), closure_ok)

@@ -18,13 +18,13 @@ chunk takes len/3 steps, or the budget's rest, across cycle snapshot steps.
 
 Cycle snapshots are taken at the steps 2^e - 1, and a cycle entered at step
 mu is first seen to close at D = 2^max(bitlen mu, bitlen(period - 1)) - 1 +
-period.  With no target ``run`` compares no snapshot before step ``_LAZY``,
-whose window decides all earlier ones, and moves a hit in it back to D.  It
-remembers the cycles that earlier runs detected and the futures of the turn
-words of runs with no target, in a table of at most ``_TABLE_SYMBOLS`` symbols
-that stops adding when full and never evicts; a run ends in closed form at its
-first turn on a known word that decides it (``_jump``).  No result depends on
-what ran before.
+period.  ``run`` compares no snapshot before step ``_LAZY``, whose window
+decides all earlier ones, and moves a hit in it back to D; a target on the
+orbit comes before D.  It remembers the cycles that earlier runs detected and
+the futures of the turn words of runs with no target, in a table of at most
+``_TABLE_SYMBOLS`` symbols that stops adding when full and never evicts; a run
+ends in closed form at its first turn on a known word that decides it
+(``_jump``).  No result depends on what ran before.
 """
 
 from __future__ import annotations
@@ -139,8 +139,8 @@ _held = 0
 # Longest turn word learned: orbits merge among short words, and recording and
 # hashing longer ones cost budget-exhausted runs more than later runs save.
 _LEARN = 128
-# Step of the first cycle snapshot that a run with no target compares (less on
-# a short budget): its window decides all earlier ones.  On the orbit lists the
+# Step of the first cycle snapshot that a run compares (less on a short
+# budget): its window decides all earlier ones.  On the orbit lists the
 # median run took 0.0152 ms at 0 and 0.0086 ms at 1023; 255 to 4095 measured
 # alike, and a hit in the first window replays up to this many steps.
 _LAZY = (1 << 10) - 1
@@ -229,8 +229,8 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
     Repeats are found with constant extra memory: the live configuration is
     raced against a snapshot that is replaced after steps 2^e - 1 (1, 3, 7,
     15, ...), so the first match after a replacement yields the exact period.
-    With no target the first snapshot compared is the one at step ``lazy``,
-    and a hit in its window ends the run at the detection step D (``_jump``).
+    The first snapshot compared is the one at step ``lazy``, and a hit in its
+    window ends the run at the detection step D (``_jump``).
     Steps are taken in closed-form chunks of len/3 steps across replacements,
     and each chunk's every-third-symbol view is searched for the target and the
     snapshot (``_first_match``), so the outcome is the one a step-by-step
@@ -247,9 +247,9 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
     target_size = -1 if target is None else len(target)
     trail = []
     room = -1 if target is not None else _TABLE_SYMBOLS - _held
-    # With no target the first snapshot is at step lazy, the largest 2^e - 1 up to _LAZY whose
-    # window ends within the budget; an impossible length keeps earlier ones from being compared.
-    lazy = 0 if target is not None else min(_LAZY, (1 << (budget + 1).bit_length() - 2) - 1)
+    # The first snapshot is at step lazy, the largest 2^e - 1 up to _LAZY whose window ends
+    # within the budget; an impossible length keeps earlier ones from being compared.
+    lazy = min(_LAZY, (1 << (budget + 1).bit_length() - 2) - 1)
     origin = last = saved = word
     saved_size, saved_needle = (-budget * _SPREAD if lazy else len(word)), word[0:3 * _PREFIX:3]
     refresh, steps, k = lazy or 1, 0, 0

@@ -1,0 +1,153 @@
+"""Every pinned command-line output of taglab, in one table, and its checks.
+
+Each row of ``PINS`` is a command line, the exit code it must end with, and
+its stdout: the exact text, or a ``Sha256`` of it.  ``problems(run)`` checks
+every row, and the emit, check and tamper sequence of a certificate, through
+a runner ``run(argv) -> (exit code, stdout)`` and returns one line per
+failure; ``closed_pipe_problems`` needs a real process.  ``tests/test_cli.py``
+runs them through ``taglab.cli.main`` in process, and
+
+    python tests/pins.py
+
+runs them against the ``taglab`` on PATH, prints one line per failure, a
+traceback on stderr included, and exits 1 if any.  This module uses only the
+standard library and imports no taglab code.
+"""
+
+import hashlib
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+
+class Sha256(str):
+    """A pinned stdout given by the hex sha256 of its bytes."""
+
+
+# the top-level help is its own text, so editing a module docstring cannot change it
+HELP = Sha256("0a5dd174dc8217587db45d725b366358db43c34b90de1be7c73372f90bf119e8")
+# the 3x3 growth grid: n=0: 10444 10678 10912, n=1: 10522 10756 10990, n=2: 10600 10834 11068
+GRID = Sha256("b875c7c67372222bc634c9a097171e8354683560ce1a51cea9645887b031ea28")
+# the 13-step chain from (A, B, C, 0)
+CERTIFICATE = Sha256("313984f77be6091cbb917edbcbf69f5f9750937ab3b6dc96f40e7983ad48c66e")
+# block-search's document for (max_rows, budget, max_suffix); the 4-row ones use the
+# openings cache under two suffix bounds, the 5-row one shares the caches across 5540 blocks
+CENSUSES = {
+    (4, 2000, 3): Sha256("c73f544ae8ffe965cbeaa36f9af725540fb5df65c304f5bfea5aa0a9396a8ae3"),
+    (4, 2000, 4): Sha256("b21f5259eb5ec5d57f4b337153b6d1d0b3eaf7f591c5a712cd29bbf170b623be"),
+    (5, 20000, 4): Sha256("f5d26fdc5adaa5a9844755f182aab61055c334d311fb700f73a9e1071ad13a8b"),
+}
+
+# simulate's lines for README's two cycling words, then for two whose cycle
+# starts past the snapshot that a chunk takes inside it, and before it
+CYCLES = {
+    "100100100": "Cycled 21 16 6\n",
+    "110111010000": "Cycled 7 13 4\n",
+    "0001001": "Cycled 37 14 6\n",
+    "100000100000": "Cycled 37 17 6\n",
+}
+
+PINS = [
+    (["--help"], 0, HELP),
+    (["simulate", "--word", "1", "--budget", "5", "--bogus"], 1, ""),
+    # each at a budget whose first searched window starts at step 255, and
+    # at one where it starts at step 1023
+    *((["simulate", "--word", word, "--budget", budget], 0, out)
+      for budget in ("1000", "200000") for word, out in CYCLES.items()),
+    # a cycle entered at step 899, in that window
+    (["simulate", "--word", "1011111100111011011100", "--budget", "200000"], 0,
+     "Cycled 1029 37 6\n"),
+    # an empty --target is kept, so the empty word reaches it at once
+    (["simulate", "--word", "", "--target", "", "--budget", "1"], 0, "TargetReached 0 0\n"),
+    (["blockset", "0000"], 0, "0uu0\nv0ww\nvv0w\n"),
+    # A's tokens and binary form, both ways, and a word no token parse covers
+    (["decode", "ZZOOOZ"], 0, "000011011101110100\n"),
+    (["decode", "000011011101110100"], 0, "ZZOOOZ\n"),
+    (["decode", "0001101"], 1, ""),
+    (["block-search", "4", "2000", "1", "--max-suffix", "3"], 0, CENSUSES[4, 2000, 3]),
+    (["block-search", "4", "2000", "1"], 0, CENSUSES[4, 2000, 4]),
+    (["block-search", "5", "20000", "1"], 0, CENSUSES[5, 20000, 4]),
+    (["verify-theorem", "2", "2", "200000"], 0, GRID),
+    (["verify-omega"], 0, CERTIFICATE),
+    (["verify-omega", "--seed-x", "1"], 3, "certificate FAILED\n"),
+]
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _problem(argv, code, out, pinned_code, pinned_out):
+    """A line saying how ``argv``'s exit code and stdout miss their pins, or None."""
+    got = _sha256(out) if isinstance(pinned_out, Sha256) else out
+    if (code, got) != (pinned_code, pinned_out):
+        return (f"taglab {shlex.join(argv)}: exit {code}, stdout {got!r};"
+                f" pinned exit {pinned_code}, stdout {pinned_out!r}")
+    return None
+
+
+def round_trip_problems(run):
+    """``--emit`` writes the pinned certificate, ``--check`` accepts the file,
+    and rejects it with exit code 3 once its closure_ok line reads false."""
+    with tempfile.TemporaryDirectory() as tmp:
+        emitted, tampered = Path(tmp, "certificate.txt"), Path(tmp, "tampered.txt")
+        found = [_problem(argv, *run(argv), 0, "certificate ok\n")
+                 for argv in (["verify-omega", "--emit", str(emitted)],
+                              ["verify-omega", "--check", str(emitted)])]
+        text = emitted.read_text() if emitted.exists() else ""
+        if _sha256(text) != CERTIFICATE:
+            found.append(f"taglab verify-omega --emit: file sha256 {_sha256(text)},"
+                         f" pinned {CERTIFICATE}")
+        tampered.write_text(text.replace("\nclosure_ok: true\n", "\nclosure_ok: false\n"))
+        argv = ["verify-omega", "--check", str(tampered)]
+        found.append(_problem(argv, *run(argv), 3, "certificate FAILED\n"))
+    return [line for line in found if line]
+
+
+def problems(run):
+    """One line per pinned command line, or step of the round trip, that ``run`` gets wrong."""
+    found = [_problem(argv, *run(argv), code, out) for argv, code, out in PINS]
+    return [line for line in found if line] + round_trip_problems(run)
+
+
+def closed_pipe_problems(command):
+    """A reader that closes the pipe after the first grid row leaves taglab, run
+    as the argv prefix ``command``, with an exit code of 0-3 and no traceback."""
+    # unbuffered, each row is written as it is made, so the rows after the
+    # first meet the closed pipe
+    proc = subprocess.Popen([*command, "verify-theorem", "5", "5", "200000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONUNBUFFERED": "1"})
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode(errors="replace")
+    proc.stderr.close()
+    code = proc.wait(timeout=60)
+    found = []
+    if not first.startswith(b"n=0: 10444 "):
+        found.append(f"closed pipe: first row {first!r}, pinned to start 'n=0: 10444 '")
+    if code not in (0, 1, 2, 3) or "Traceback" in err:
+        found.append(f"closed pipe: exit {code}, stderr {err!r}")
+    return found
+
+
+def main():
+    tracebacks = []
+
+    def run(argv):
+        proc = subprocess.run(["taglab", *argv], capture_output=True, text=True, timeout=300)
+        if "Traceback" in proc.stderr:
+            tracebacks.append(f"taglab {shlex.join(argv)}: traceback on stderr")
+        return proc.returncode, proc.stdout
+
+    found = problems(run) + tracebacks + closed_pipe_problems(["taglab"])
+    for line in found:
+        print(line)
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -32,6 +32,7 @@ from taglab.blocks import (
 )
 from taglab.blocks import _extend, _initial_levels, _opening, _step
 
+from pins import CENSUSES
 from reference import RAISES, reference_candidates
 
 ROW_LANGUAGE = re.compile(r"v{0,2}[01](uu[01])*w{0,2}")
@@ -604,9 +605,9 @@ def test_search_document_rendering(exhaustive_search):
 
 PINNED_CENSUSES = [
     # max_rows, budget, max_suffix, document sha256, examined, duplicates, hits
-    (4, 2000, 3, "c73f544ae8ffe965cbeaa36f9af725540fb5df65c304f5bfea5aa0a9396a8ae3", 738, 1149, 2),
-    (4, 2000, 4, "b21f5259eb5ec5d57f4b337153b6d1d0b3eaf7f591c5a712cd29bbf170b623be", 1068, 2274, 2),
-    (5, 20000, 4, "f5d26fdc5adaa5a9844755f182aab61055c334d311fb700f73a9e1071ad13a8b", 5540, 12982, 3),
+    (4, 2000, 3, CENSUSES[4, 2000, 3], 738, 1149, 2),
+    (4, 2000, 4, CENSUSES[4, 2000, 4], 1068, 2274, 2),
+    (5, 20000, 4, CENSUSES[5, 20000, 4], 5540, 12982, 3),
     (6, 100000, 4, "3e83d316a76e8b097442e65094ecff8833986f9c6ba54fce37c5f24326795c34", 27281, 68570, 5),
 ]
 

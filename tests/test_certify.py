@@ -24,6 +24,7 @@ from taglab.certify import (
 )
 from taglab.core import OutcomeKind, decode_tokens
 
+from pins import CERTIFICATE
 from reference import CHAIN_STAGES, full_pass_simulated
 
 
@@ -240,7 +241,7 @@ def test_certificate_document_round_trip(chain):
 
 def test_certificate_document_is_pinned(chain):
     digest = hashlib.sha256(render_certificate(chain).encode()).hexdigest()
-    assert digest == "313984f77be6091cbb917edbcbf69f5f9750937ab3b6dc96f40e7983ad48c66e"
+    assert digest == CERTIFICATE
 
 
 def test_certificate_parse_rejects_malformed_documents(chain):
@@ -254,6 +255,8 @@ def test_certificate_parse_rejects_malformed_documents(chain):
         parse_certificate(truncated + "closure_ok: true\n")
     with pytest.raises(ValueError):
         parse_certificate(text.replace("step.1.checks.l_a: pass", "step.1.checks.l_a: yes", 1))
+    with pytest.raises(ValueError, match="^steps must not be negative, got -1$"):
+        parse_certificate(text.replace("\nsteps: 13\n", "\nsteps: -1\n", 1))
 
 
 def test_certificate_problems_catch_word_tampering(chain):

@@ -1,9 +1,9 @@
 """Command-line interface: output formats, exit codes, document round trips."""
 
 import contextlib
+import functools
 import hashlib
 import io
-import os
 import random
 import subprocess
 import sys
@@ -17,6 +17,7 @@ from taglab.certify import Quadruplet, render_certificate, seed_quadruplet, veri
 from taglab.cli import main, parse_args
 from taglab.core import OutcomeKind, run
 
+import pins
 from reference import reference_parser
 
 
@@ -68,32 +69,23 @@ def test_simulate_reports_cycles(capsys):
     assert cycle == "6"
 
 
-# The console-script outputs README and the CI step state, checked here in
-# process: simulate's exact lines and the digest of the 3x3 growth grid.
-CONSOLE_PINS = [
-    (["simulate", "--word", "100100100", "--budget", "1000"], "Cycled 21 16 6\n"),
-    (["simulate", "--word", "110111010000", "--budget", "1000"], "Cycled 7 13 4\n"),
-    # mu past the snapshot a chunk takes inside it, and mu before it
-    (["simulate", "--word", "0001001", "--budget", "1000"], "Cycled 37 14 6\n"),
-    (["simulate", "--word", "100000100000", "--budget", "1000"], "Cycled 37 17 6\n"),
-    # the same at a budget whose first searched window starts at step 1023,
-    # and a cycle entered at step 899, in that window
-    (["simulate", "--word", "100100100", "--budget", "200000"], "Cycled 21 16 6\n"),
-    (["simulate", "--word", "110111010000", "--budget", "200000"], "Cycled 7 13 4\n"),
-    (["simulate", "--word", "0001001", "--budget", "200000"], "Cycled 37 14 6\n"),
-    (["simulate", "--word", "100000100000", "--budget", "200000"], "Cycled 37 17 6\n"),
-    (["simulate", "--word", "1011111100111011011100", "--budget", "200000"],
-     "Cycled 1029 37 6\n"),
-    (["verify-theorem", "2", "2", "200000"],
-     "b875c7c67372222bc634c9a097171e8354683560ce1a51cea9645887b031ea28"),
-]
+def run_in_process(argv):
+    """``(exit code, stdout)`` of ``argv`` through ``cli.main``, ended as ``app`` ends it."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help and command-line errors
+            code = exc.code
+    return code, out.getvalue()
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-def test_console_pins_hold_on_a_cold_and_a_warm_table(capsys, warm):
+def test_console_pins_hold_on_a_cold_and_a_warm_table(warm):
+    # every row of tests/pins.py, which CI runs against the installed script;
     # run's table of known futures starts empty, or warmed by a list of short
-    # words and the pinned words themselves, so that simulate ends from a
-    # word learned on the way to its cycle; no output depends on which
+    # words and README's cycling words, so that simulate ends from a word
+    # learned on the way to its cycle; no output depends on which
     core._TABLE.clear()
     core._held = 0
     if warm:
@@ -102,12 +94,28 @@ def test_console_pins_hold_on_a_cold_and_a_warm_table(capsys, warm):
                      for _ in range(300)] + ["100100100", "110111010000"]:
             run(word, budget=20000)
         assert any(dist for table in core._TABLE.values() for _, _, dist in table.values())
-    for argv, pinned in CONSOLE_PINS:
-        code, out, _ = run_cli(capsys, *argv)
-        assert code == 0
-        if argv[0] == "verify-theorem":
-            out = hashlib.sha256(out.encode()).hexdigest()
-        assert out == pinned
+    assert pins.problems(run_in_process) == []
+
+
+def test_each_wrong_pin_is_one_problem(monkeypatch):
+    # the table cannot pass vacuously: a wrong exit code, a wrong literal and
+    # a wrong digest each give exactly one line, and a runner that gets
+    # everything wrong one per row and per step of the certificate round trip
+    outputs = functools.cache(lambda argv: run_in_process(list(argv)))
+
+    def recorded(argv):
+        return outputs(tuple(argv))
+
+    digests = [isinstance(out, pins.Sha256) for _, _, out in pins.PINS]
+    literal, digest = digests.index(False), digests.index(True)
+    edits = [(literal, lambda argv, code, out: (argv, code + 1, out)),
+             (literal, lambda argv, code, out: (argv, code, out + "x")),
+             (digest, lambda argv, code, out: (argv, code, pins.Sha256(out[::-1])))]
+    for i, edit in edits:
+        with monkeypatch.context() as patch:
+            patch.setattr(pins, "PINS", [*pins.PINS[:i], edit(*pins.PINS[i]), *pins.PINS[i + 1:]])
+            assert len(pins.problems(recorded)) == 1
+    assert len(pins.problems(lambda argv: (0, ""))) == len(pins.PINS) + 4
 
 
 def test_simulate_budget_exhaustion_exit_code(capsys):
@@ -557,14 +565,12 @@ def test_help_lists_every_command(capsys, argv):
 
 
 def test_help_keeps_its_bytes_apart_from_the_module_docstring(monkeypatch, capsys):
-    # the digest that the console-script step in .github/workflows/tests.yml pins
     monkeypatch.setattr(cli, "__doc__", "Another docstring.")
     with pytest.raises(SystemExit) as excinfo:
         main(["--help"])
     assert excinfo.value.code == 0
     out = capsys.readouterr().out.encode()
-    assert hashlib.sha256(out).hexdigest() == (
-        "0a5dd174dc8217587db45d725b366358db43c34b90de1be7c73372f90bf119e8")
+    assert hashlib.sha256(out).hexdigest() == pins.HELP
 
 
 @pytest.mark.parametrize("command", HELP_NAMES)
@@ -643,16 +649,6 @@ def test_importing_the_package_loads_no_submodule():
     assert loaded_modules() == ("None", "none", ["taglab"])
 
 
-def test_closed_pipe_ends_without_traceback():
-    # unbuffered, each grid row is written as it is made, so the rows after
-    # the first meet the pipe that the reader closed
-    proc = subprocess.Popen(
-        [sys.executable, "-u", "-m", "taglab.cli", "verify-theorem", "5", "5", "200000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(SRC)})
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) in (0, 1, 2, 3)
-    assert first.startswith(b"n=0: 10444 ")
-    assert b"Traceback" not in err, err.decode()
+def test_closed_pipe_ends_without_traceback(monkeypatch):
+    monkeypatch.setenv("PYTHONPATH", str(SRC))
+    assert pins.closed_pipe_problems([sys.executable, "-u", "-m", "taglab.cli"]) == []

@@ -644,19 +644,25 @@ def test_jump_after_a_chunk_that_took_a_snapshot(monkeypatch):
 
 @pytest.mark.parametrize("lazy", [0, 1, 3, 7])
 def test_run_agrees_with_reference_run_around_the_first_window(monkeypatch, lazy):
-    # a run with no target takes its first snapshot at step r0, the least of
-    # _LAZY and the largest 2^e - 1 whose window ends within the budget, and
-    # compares none before it; every word of up to 12 symbols, first from an
-    # empty table, at the budgets 2 r0, 2 r0 + 1 and 2 r0 + 2 around that
-    # window's end, and at r0, where the window of a snapshot at r0 would
-    # end past the budget, then with each list's cycles and paths known
+    # a run takes its first snapshot at step r0, the least of _LAZY and the
+    # largest 2^e - 1 whose window ends within the budget, and compares none
+    # before it; every word of up to 12 symbols, first from an empty table,
+    # at the budgets 2 r0, 2 r0 + 1 and 2 r0 + 2 around that window's end,
+    # and at r0, where the window of a snapshot at r0 would end past the
+    # budget, then with each list's cycles and paths known; each word runs
+    # with a target from its orbit, up to one step past the budget, with a
+    # random one of its length, and with none, the only runs that record turns
     monkeypatch.setattr(core, "_LAZY", lazy)
+    rng = random.Random(lazy)
     short = words_up_to(12)
     for budget in sorted({max(1, lazy), max(1, 2 * lazy), 2 * lazy + 1, 2 * lazy + 2}):
-        expected = [reference_run(word, budget=budget) for word in short]
+        cases = ([(word, orbit_word(word, rng.randint(0, budget + 1))) for word in short]
+                 + [(word, "".join(rng.choices("01", k=len(word)))) for word in short]
+                 + [(word, None) for word in short])
+        expected = [reference_run(word, budget=budget, target=target) for word, target in cases]
         forget_table()
-        assert [run(word, budget=budget) for word in short] == expected
-        assert [run(word, budget=budget) for word in short] == expected
+        assert [run(word, budget=budget, target=target) for word, target in cases] == expected
+        assert [run(word, budget=budget, target=target) for word, target in cases] == expected
 
 
 def test_first_window_hit_ends_at_the_detection_step(monkeypatch):
