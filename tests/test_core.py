@@ -1,13 +1,14 @@
 """Simulation engine: steps, runs, cycle detection, token round trips."""
 
 import copy
+import functools
 import itertools
 import pickle
 import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings, stateful, strategies as st
 
 from taglab import core, words
 from taglab.core import (
@@ -133,7 +134,7 @@ def words_up_to(length):
 def orbit_like_words(seed, count):
     """Random words of 8-64 symbols, as the orbits benchmark draws them."""
     rng = random.Random(seed)
-    return ["".join(rng.choice("01") for _ in range(rng.randint(8, 64))) for _ in range(count)]
+    return ["".join(rng.choices("01", k=rng.randint(8, 64))) for _ in range(count)]
 
 
 def test_step_on_zero_word():
@@ -504,49 +505,18 @@ def test_run_classification_matches_oracle(word):
     assert outcome.steps_taken <= budget
 
 
+def orbit_words(word, count):
+    """The first ``count`` words of the orbit of ``word``."""
+    orbit = [word]
+    while len(orbit) < count:
+        orbit.append(step(orbit[-1]))
+    return orbit[:count]
+
+
 def orbit_words_on_cycle(word):
     """Every word on the cycle that ``word`` falls into, or none."""
     shape = hash_trace(word, 20000)
-    return [] if shape is None else [orbit_word(word, shape[0] + i) for i in range(shape[1])]
-
-
-@st.composite
-def warm_cases(draw):
-    """Two words whose orbits warm the table, and a run to compare: from a
-    word on the first orbit, with a target on it before or after its cycle
-    starts, flipped, on the second word's cycle or none, and a budget on
-    either side of the step where the cycle is detected or where it starts."""
-    word, other = draw(st.lists(st.text(alphabet="01", min_size=8, max_size=64),
-                                min_size=2, max_size=2))
-    start = orbit_word(word, draw(st.integers(0, 40)))
-    shape = hash_trace(start, 20000)
-    if shape is None:
-        mu, period = draw(st.integers(0, 200)), 1
-        near = mu
-    else:
-        mu, period = shape
-        near = draw(st.sampled_from([brent_detection(mu, period), mu]))
-    budget = max(1, near + draw(st.integers(-period - 3, period + 3)))
-    kind = draw(st.sampled_from(["orbit", "flipped", "other-cycle", "none"]))
-    target = None
-    if kind in ("orbit", "flipped"):
-        target = orbit_word(start, max(0, mu + draw(st.integers(-4, 2 * period))))
-    if kind == "flipped" and target:
-        target = flip(target, draw(st.integers(0, len(target) - 1)))
-    if kind == "other-cycle":
-        target = draw(st.sampled_from(orbit_words_on_cycle(other) or [other]))
-    return word, other, start, budget, target
-
-
-@given(warm_cases())
-@settings(max_examples=300, deadline=None)
-def test_warm_run_agrees_with_reference_run(case):
-    word, other, start, budget, target = case
-    run(word, budget=20000)
-    run(other, budget=20000)
-    assert run(start, budget=budget, target=target) == reference_run(
-        start, budget=budget, target=target
-    )
+    return [] if shape is None else orbit_words(orbit_word(word, shape[0]), shape[1])
 
 
 def turn_starts(word, budget):
@@ -752,112 +722,125 @@ def test_a_word_learned_off_the_cycle_is_not_reached_from_it():
         assert outcome == reference_run(member, budget=1000, target="100100100")
 
 
-def test_known_cycles_are_true_cycles(monkeypatch):
-    # with room for every ring next to the paths that lead to them
-    monkeypatch.setattr(core, "_TABLE_SYMBOLS", 1 << 20)
-    outcomes = [run(word, budget=20000) for word in orbit_like_words(7, 400)]
-    cycled = [o for o in outcomes if o.kind is OutcomeKind.CYCLED]
-    found = [core._TABLE[len(o.final)][o.final][0] for o in cycled]
-    assert [len(ring) for ring in found] == [o.cycle_length for o in cycled]
-    rings = known_rings()
-    assert set(map(id, found)) == set(map(id, rings)) and len(rings) > 10
-    for ring in rings:
-        assert len(ring) == hash_trace_cycle(ring[0])
-        for index, member in enumerate(ring):
-            assert step(member) == ring[(index + 1) % len(ring)]
-            assert core._TABLE[len(member)][member] == (ring, index, 0)
-    assert core._held == sum(len(word) for word, _ in table_entries())
-
-
-def test_known_halts_and_paths_are_true():
-    # a word that halts after dist steps at ``at`` steps only words long
-    # enough to step, and ``at`` is not; a word dist steps before its cycle
-    # reaches ring[at], a known cycle, from a word off the ring
-    for word in orbit_like_words(7, 40):
-        run(word, budget=20000)
-    rings = set(map(id, known_rings()))
-    halts = paths = 0
-    for word, (ring, at, dist) in table_entries():
-        if ring is not None and not dist:
-            continue
-        path = [word]
-        for _ in range(dist):
-            path.append(step(path[-1]))
-        assert dist and min(map(len, path[:-1])) >= 3
-        if ring is None:
-            halts += 1
-            assert path[-1] == at and len(at) < 3
-        else:
-            paths += 1
-            assert id(ring) in rings and path[-1] == ring[at] and path[-2] not in ring
-    assert halts > 100 and paths > 100
-
-
+@functools.cache
 def fate_marks(word, limit=20000):
     """Steps where ``run``'s outcome from ``word`` changes: its halt, or the
     first step on its cycle and the step where that cycle is detected, with
     the cycle's period, or ``limit`` when neither comes first."""
     shape = hash_trace(word, limit)
     if shape is not None:
-        return [shape[0], brent_detection(*shape)], shape[1]
-    for steps in range(limit):
-        if len(word) < 3:
-            return [steps], 1
-        word = step(word)
-    return [limit], 1
+        return (shape[0], brent_detection(*shape)), shape[1]
+    return (reference_run(word, budget=limit).steps_taken,), 1
 
 
-@st.composite
-def list_warm_cases(draw):
-    """A list of words that warms the table, and runs to compare: from a word
-    on one of their orbits or a fresh one, at a budget around its halt, its
-    cycle's first step or the cycle's detection, with no target or one on the
-    word's orbit or a warm word's, which may lead to the same cycle."""
-    warm = draw(st.lists(st.text(alphabet="01", min_size=8, max_size=64),
-                         min_size=1, max_size=12))
-    cases = []
-    for _ in range(draw(st.integers(1, 4))):
-        base = draw(st.sampled_from(warm) | st.text(alphabet="01", max_size=64))
-        start = orbit_word(base, draw(st.integers(0, 80)))
-        marks, period = fate_marks(start)
-        near = draw(st.sampled_from(marks))
-        budget = max(1, near + draw(st.integers(-period - 3, period + 3)))
-        target = None
-        if draw(st.booleans()):
-            origin = draw(st.sampled_from([start, *warm]))
-            target = orbit_word(origin, draw(st.integers(0, budget + 1)))
-        cases.append((start, budget, target))
-    return warm, cases
+class TableMachine(stateful.RuleBasedStateMachine):
+    """Runs that share one table of known futures, under bounds drawn at the start;
+    each entry is checked by the step oracle when it appears, and never changes after."""
+
+    budget = 2047  # of warm runs and fates: the least whose first snapshot compared is at 1023
+    oracle = staticmethod(functools.cache(reference_run))  # the machine's runs recur often
+
+    @stateful.initialize(symbols=st.sampled_from([600, core._TABLE_SYMBOLS]),
+                         learn=st.sampled_from([core._LEARN, 32]),
+                         lazy=st.sampled_from([core._LAZY, 0, 63]))
+    def start(self, symbols, learn, lazy):
+        self.bounds, self.warm = (core._TABLE_SYMBOLS, core._LEARN, core._LAZY), []
+        core._TABLE_SYMBOLS, core._LEARN, core._LAZY = symbols, learn, lazy
+        self.empty()
+
+    def teardown(self):
+        core._TABLE_SYMBOLS, core._LEARN, core._LAZY = self.bounds
+        forget_table()
+
+    @stateful.precondition(lambda self: core._held)
+    @stateful.rule()
+    def empty(self):
+        forget_table()
+        self.checked, self.cycled = {}, set()  # entries, and ids of rings that runs ended on
+
+    def ran(self, word, budget, target=None):
+        """``run``'s outcome; the cycle it ends on joins the table if it fits."""
+        room = core._TABLE_SYMBOLS - core._held
+        outcome = run(word, budget=budget, target=target)
+        if outcome.kind is OutcomeKind.CYCLED:
+            entry = core._TABLE.get(len(outcome.final), {}).get(outcome.final)
+            if entry is None:
+                assert sum(map(len, orbit_words(outcome.final, outcome.cycle_length))) > room
+            else:
+                assert len(entry[0]) == outcome.cycle_length and not entry[2]
+                self.cycled.add(id(entry[0]))
+        return outcome
+
+    @stateful.rule(seed=st.integers(0, 1 << 16), count=st.integers(1, 4))
+    def warm_table(self, seed, count):
+        self.warm += orbit_like_words(seed, count)
+        for word in self.warm[-count:]:
+            assert self.ran(word, self.budget) == self.oracle(word, budget=self.budget)
+
+    @stateful.precondition(lambda self: core._held)
+    @stateful.rule(data=st.data())
+    def run_from_table_word(self, data):
+        self.compare(data, data.draw(st.sampled_from([word for word, _ in table_entries()])))
+
+    @stateful.precondition(lambda self: self.warm)
+    @stateful.rule(data=st.data(), depth=st.integers(0, 80) | st.none())
+    def run_from_warm_or_fresh_word(self, data, depth):
+        self.compare(data, data.draw(st.text(alphabet="01", max_size=64)) if depth is None
+                     else orbit_word(data.draw(st.sampled_from(self.warm)), depth))
+
+    def compare(self, data, start):
+        """A run from ``start`` at a budget near a step where its outcome changes,
+        with no target (only such runs jump from a path or a halt) or one of four kinds."""
+        marks, period = fate_marks(start, self.budget)
+        budget = max(1, data.draw(st.sampled_from(marks)) + data.draw(
+            st.integers(-period - 3, period + 3)))
+        kind = data.draw(st.sampled_from(["table", "orbit", "flipped", "random"]) | st.none())
+        target = data.draw(st.text(alphabet="01", max_size=64)) if kind == "random" else None
+        if kind in ("orbit", "flipped"):
+            target = orbit_word(start, data.draw(st.integers(0, budget + 1)))
+        if kind == "flipped" and target:
+            target = flip(target, data.draw(st.integers(0, len(target) - 1)))
+        if kind == "table" and (entries := table_entries()):
+            # one that leads into the start's cycle from off its orbit, if any does
+            orbit = set(orbit_words(start, marks[0] + period)) if len(marks) == 2 else set()
+            target = data.draw(st.sampled_from(
+                [word for word, (ring, at, dist) in entries
+                 if dist and ring and ring[at] in orbit and word not in orbit]
+                or [word for word, _ in entries]))
+        assert self.ran(start, budget, target) == self.oracle(start, budget=budget, target=target)
+
+    @stateful.invariant()
+    def table_is_true(self):
+        entries = table_entries()
+        assert core._held == sum(len(word) for word, _ in entries) <= core._TABLE_SYMBOLS
+        assert all(self.checked.get(word, entry) is entry for word, entry in entries)
+        # nearest futures first, so that stepping a path can stop at a checked word
+        new = sorted((e[2], word, e) for word, e in entries if word not in self.checked)
+        # a ring joins the table whole: one entry for each of its words
+        rings = [ring for _, _, (ring, _, dist) in new if ring is not None and not dist]
+        assert all(sum(other is ring for other in rings) == len(ring) for ring in rings)
+        for dist, word, entry in new:
+            ring, at, _ = entry
+            assert ring is None or id(ring) in self.cycled
+            if ring is not None and not dist:
+                assert ring[at] == word and step(word) == ring[(at + 1) % len(ring)]
+            else:
+                # a learned turn word, off the ring until ``ring[at]`` or a halt at ``at``
+                assert dist and len(word) <= core._LEARN and (ring or len(at) < 3)
+                last, now, rest = word, step(word), dist - 1
+                while rest and now not in self.checked:
+                    last, now, rest = now, step(now), rest - 1
+                if rest:  # a checked word on the way has the same future
+                    assert self.checked[now] == (ring, at, rest) and self.checked[now][0] is ring
+                else:
+                    assert now == (ring[at] if ring else at) and last not in (ring or ())
+            self.checked[word] = entry
+        assert len(self.checked) == len(entries)
 
 
-@given(list_warm_cases())
-@settings(max_examples=100, deadline=None)
-def test_list_warmed_runs_agree_with_reference_run(case):
-    warm, cases = case
-    forget_table()
-    for word in warm:
-        run(word, budget=20000)
-    for start, budget, target in cases:
-        assert run(start, budget=budget, target=target) == reference_run(
-            start, budget=budget, target=target
-        )
-        assert core._held <= core._TABLE_SYMBOLS
-
-
-def test_table_keeps_its_bound_and_runs_stay_exact(monkeypatch):
-    monkeypatch.setattr(core, "_TABLE_SYMBOLS", 600)
-    stored = {}
-    refused = 0
-    for word in orbit_like_words(8, 300):
-        outcome = run(word, budget=20000)
-        assert outcome == reference_run(word, budget=20000)
-        assert core._held <= 600
-        for member, entry in table_entries():
-            assert stored.setdefault(member, entry) == entry
-        refused += outcome.kind is OutcomeKind.CYCLED and outcome.final not in stored
-    assert len(stored) == len(table_entries()) and refused
-    assert any(dist for _, _, dist in stored.values())
-    assert core._held == sum(map(len, stored))
+def test_runs_sharing_a_table_agree_with_the_step_oracle():
+    stateful.run_state_machine_as_test(TableMachine, settings=settings(
+        max_examples=20, stateful_step_count=60, deadline=None))
 
 
 def test_recording_keeps_to_the_table_room(monkeypatch):
