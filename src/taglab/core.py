@@ -22,9 +22,9 @@ period.  ``run`` compares no snapshot before step ``_LAZY``, whose window
 decides all earlier ones, and moves a hit in it back to D; a target on the
 orbit comes before D.  It remembers the cycles that earlier runs detected and
 the futures of the turn words of runs with no target, in a table of at most
-``_TABLE_SYMBOLS`` symbols that stops adding when full and never evicts; a run
-ends in closed form at its first turn on a known word that decides it
-(``_jump``).  No result depends on what ran before.
+``_TABLE_SYMBOLS`` symbols that stops adding when full and never evicts; only
+runs with no target use it, ending in closed form at their first turn on a
+known word that decides them (``_jump``).  No result depends on what ran before.
 """
 
 from __future__ import annotations
@@ -191,18 +191,16 @@ def _after(word: str, steps: int) -> str:
     return word
 
 
-def _jump(entry: tuple, steps: int, budget: int, target: str | None,
-          base: int, word: str) -> RunOutcome | None:
+def _jump(entry: tuple, steps: int, budget: int, base: int, word: str) -> RunOutcome | None:
     """``run``'s outcome from its turn at step ``steps`` on a word with the table
-    entry ``entry``, or None if that does not decide it.  A word off the cycle
-    decides only runs with no target whose budget reaches its halt or mu, the
-    cycle's first step.  D needs mu only through its bit length: on the cycle,
-    the least e whose step 2^e - 1 is on it, stepped to from ``word``, the word
-    at step ``base`` <= mu (the previous turn's, or the run's first).  A target
-    on the cycle comes (index(target) - at) mod period steps on."""
+    entry ``entry`` (with a target, only the cycle that the run detected), or
+    None if that does not decide it: a word off the cycle decides only runs whose
+    budget reaches its halt or mu, the cycle's first step.  D needs mu only by its
+    bit length: on the cycle, the least e whose step 2^e - 1 is on it, stepped to
+    from ``word``, the word at step ``base`` <= mu (the last turn's, or the first)."""
     ring, at, dist = entry
     mu = steps + dist
-    if dist and (target is not None or mu > budget):
+    if dist and mu > budget:
         return None
     if ring is None:
         return RunOutcome(OutcomeKind.HALTED, mu, at)
@@ -212,10 +210,6 @@ def _jump(entry: tuple, steps: int, budget: int, target: str | None,
             _after(word, (1 << e) - 1 - base) != ring[(at + (1 << e) - 1 - mu) % period]):
         e += 1
     detected = (1 << e) - 1 + period
-    hit = None if target is None else _TABLE.get(len(target), {}).get(target)
-    if (hit is not None and hit[0] is ring and not hit[2]
-            and (reached := steps + (hit[1] - at) % period) <= budget):
-        return RunOutcome(OutcomeKind.TARGET_REACHED, reached, target)
     end = min(detected, budget)
     final = ring[(at + end - mu) % period]
     if end < detected:
@@ -236,7 +230,8 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
     snapshot (``_first_match``), so the outcome is the one a step-by-step
     loop gives.  Each compared word's needle is sliced once per snapshot.
     A detected cycle, and with no target the turn words that fit, join the table
-    of known futures; a turn on a known word that decides the run ends it (``_jump``).
+    of known futures.  Only a run with no target reads it: a turn on a known word
+    that decides the run ends it (``_jump``).
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -246,7 +241,7 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
         target_needle = target[0:3 * _PREFIX:3]
     target_size = -1 if target is None else len(target)
     trail = []
-    room = -1 if target is not None else _TABLE_SYMBOLS - _held
+    table, room = ({}, -1) if target is not None else (_TABLE, _TABLE_SYMBOLS - _held)
     # The first snapshot is at step lazy, the largest 2^e - 1 up to _LAZY whose window ends
     # within the budget; an impossible length keeps earlier ones from being compared.
     lazy = min(_LAZY, (1 << (budget + 1).bit_length() - 2) - 1)
@@ -262,8 +257,8 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
             return RunOutcome(OutcomeKind.HALTED, steps, word)
         if steps == budget:
             return RunOutcome(OutcomeKind.BUDGET_EXHAUSTED, steps, word)
-        if (known := _TABLE.get(size)) and (entry := known.get(word)) is not None:
-            if (outcome := _jump(entry, steps, budget, target, steps - k, last)) is not None:
+        if (known := table.get(size)) and (entry := known.get(word)) is not None:
+            if (outcome := _jump(entry, steps, budget, steps - k, last)) is not None:
                 _learn(trail, steps, entry)
                 return outcome
         elif size <= room and size <= _LEARN:
@@ -300,7 +295,7 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
                     period = steps + j - refresh // 2  # the snapshot's step
                     _learn(trail, refresh // 2, entry := _remember(saved, period))
                     if refresh // 2 == lazy:  # D may precede steps + j: replay
-                        return _jump(entry, lazy, budget, None, 0, origin)
+                        return _jump(entry, lazy, budget, 0, origin)
                     return RunOutcome(OutcomeKind.CYCLED, steps + j, saved, period)
             if steps + hi == refresh:
                 saved_size = size + hi * _ZERO_DELTA + sampled.count("1", 0, hi) * _ONE_EXTRA

@@ -53,6 +53,11 @@ CYCLES = {
 PINS = [
     (["--help"], 0, HELP),
     (["simulate", "--word", "1", "--budget", "5", "--bogus"], 1, ""),
+    (["frobnicate"], 1, ""),
+    # words too short to step halt at once; a budget that runs out exits 2
+    (["simulate", "--word", "0", "--budget", "5"], 0, "Halted 0 1\n"),
+    (["simulate", "--word", "01", "--budget", "5"], 0, "Halted 0 2\n"),
+    (["simulate", "--word", "100100100", "--budget", "3"], 2, "BudgetExhausted 3 12\n"),
     # each at a budget whose first searched window starts at step 255, and
     # at one where it starts at step 1023
     *((["simulate", "--word", word, "--budget", budget], 0, out)
@@ -62,15 +67,23 @@ PINS = [
      "Cycled 1029 37 6\n"),
     # an empty --target is kept, so the empty word reaches it at once
     (["simulate", "--word", "", "--target", "", "--budget", "1"], 0, "TargetReached 0 0\n"),
+    # converting sets in canonical order, and a row that no block converts
     (["blockset", "0000"], 0, "0uu0\nv0ww\nvv0w\n"),
+    (["blockset", "10101"], 0, "1uu0w\nv0uu1\nvv1ww\n"),
+    (["blockset", "w1v"], 0, ""),
     # A's tokens and binary form, both ways, and a word no token parse covers
     (["decode", "ZZOOOZ"], 0, "000011011101110100\n"),
     (["decode", "000011011101110100"], 0, "ZZOOOZ\n"),
     (["decode", "0001101"], 1, ""),
+    (["block-search", "2", "50", "1"], 0,
+     "version: 1\nmax_rows: 2\nbudget: 50\nmax_suffix: 4\nexamined: 24\nexhausted: true\n"
+     "found: 0\n"),
     (["block-search", "4", "2000", "1", "--max-suffix", "3"], 0, CENSUSES[4, 2000, 3]),
     (["block-search", "4", "2000", "1"], 0, CENSUSES[4, 2000, 4]),
     (["block-search", "5", "20000", "1"], 0, CENSUSES[5, 20000, 4]),
     (["verify-theorem", "2", "2", "200000"], 0, GRID),
+    # a cell whose target lies past the budget
+    (["verify-theorem", "0", "0", "1"], 2, "n=0: -\n"),
     (["verify-omega"], 0, CERTIFICATE),
     (["verify-omega", "--seed-x", "1"], 3, "certificate FAILED\n"),
 ]

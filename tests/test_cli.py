@@ -100,7 +100,8 @@ def test_console_pins_hold_on_a_cold_and_a_warm_table(warm):
 def test_each_wrong_pin_is_one_problem(monkeypatch):
     # the table cannot pass vacuously: a wrong exit code, a wrong literal and
     # a wrong digest each give exactly one line, and a runner that gets
-    # everything wrong one per row and per step of the certificate round trip
+    # everything wrong (an exit code that no row pins) one per row and per
+    # step of the certificate round trip
     outputs = functools.cache(lambda argv: run_in_process(list(argv)))
 
     def recorded(argv):
@@ -115,7 +116,7 @@ def test_each_wrong_pin_is_one_problem(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(pins, "PINS", [*pins.PINS[:i], edit(*pins.PINS[i]), *pins.PINS[i + 1:]])
             assert len(pins.problems(recorded)) == 1
-    assert len(pins.problems(lambda argv: (0, ""))) == len(pins.PINS) + 4
+    assert len(pins.problems(lambda argv: (-1, ""))) == len(pins.PINS) + 4
 
 
 def test_simulate_budget_exhaustion_exit_code(capsys):
