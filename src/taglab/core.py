@@ -19,12 +19,13 @@ chunk takes len/3 steps, or the budget's rest, across cycle snapshot steps.
 Cycle snapshots are taken at the steps 2^e - 1, and a cycle entered at step
 mu is first seen to close at D = 2^max(bitlen mu, bitlen(period - 1)) - 1 +
 period.  ``run`` compares no snapshot before step ``_LAZY``, whose window
-decides all earlier ones, and moves a hit in it back to D; a target on the
-orbit comes before D.  It remembers the cycles that earlier runs detected and
-the futures of the turn words of runs with no target, in a table of at most
-``_TABLE_SYMBOLS`` symbols that stops adding when full and never evicts; only
-runs with no target use it, ending in closed form at their first turn on a
-known word that decides them (``_jump``).  No result depends on what ran before.
+decides all earlier ones; a target on the orbit comes before D.  A run's fate
+``(ring, at, mu)`` is the word ``ring[at]`` at its first step mu on the cycle
+``ring`` (its words in step order), or its halt at ``at`` on mu if ``ring`` is
+None: ``_enter`` finds mu, ``_jump`` the outcome.  Only runs with no target
+read the table of known futures, of at most ``_TABLE_SYMBOLS`` symbols, which
+stops adding when full and never evicts: detected cycles and the turn words of
+runs with no target.  No result depends on what ran before.
 """
 
 from __future__ import annotations
@@ -140,76 +141,73 @@ _held = 0
 # hashing longer ones cost budget-exhausted runs more than later runs save.
 _LEARN = 128
 # Step of the first cycle snapshot that a run compares (less on a short
-# budget): its window decides all earlier ones.  On the orbit lists the
-# median run took 0.0152 ms at 0 and 0.0086 ms at 1023; 255 to 4095 measured
-# alike, and a hit in the first window replays up to this many steps.
+# budget): its window decides all earlier ones.  On the orbit lists the median
+# run took 0.0152 ms at 0 and 0.0086 ms at 1023; 255 to 4095 measured alike.
 _LAZY = (1 << 10) - 1
 
 
 def _remember(word: str, period: int) -> tuple:
-    """Publish the cycle through ``word`` unless known or too big; return ``word``'s entry."""
+    """Publish the cycle through ``word`` unless known or too big: ``(ring, index, stored)``."""
     global _held
     if (entry := _TABLE.get(len(word), {}).get(word)) is not None:
-        return entry
+        return entry[0], entry[1], True
     ring = [word]
     while len(ring) < period:
         ring.append(word := word[3:] + DEFAULT_PRODUCTION[word[0]])
-    if (size := sum(map(len, ring))) <= _TABLE_SYMBOLS - _held:
+    if stored := (size := sum(map(len, ring))) <= _TABLE_SYMBOLS - _held:
         _held += size
         for index, member in enumerate(ring):
             _TABLE.setdefault(len(member), {})[member] = (ring, index, 0)
-    return ring, 0, 0
+    return ring, 0, stored
 
 
-def _learn(trail: list, steps: int, entry: tuple | None) -> None:
-    """Publish ``trail``'s turns ``(step, word)``, if they fit, from the future ``entry`` of
-    the word at ``steps``, or on a cycle of the first known word past the last turn off it."""
+def _learn(trail: list, ring: list | None, at, mu: int) -> None:
+    """Publish ``trail``'s turns ``(step, word)`` before mu toward the fate, if they fit."""
     global _held
     if not trail:
         return
-    if entry is not None and entry[0] is not None and not entry[2]:
-        while trail and trail[-1][1] in _TABLE.get(len(trail[-1][1]), ()):
-            trail.pop()
-        steps, word = trail[-1] if trail else (0, "")
-        entry = None
-        for steps in range(steps + 1, steps + 1 + len(word) // 3):
-            word = word[3:] + DEFAULT_PRODUCTION[word[0]]
-            if (entry := _TABLE.get(len(word), {}).get(word)) is not None:
-                break
+    while trail and trail[-1][0] >= mu:
+        trail.pop()
     size = sum(len(word) for _, word in trail)
-    if entry is not None and _held + size <= _TABLE_SYMBOLS:
+    if _held + size <= _TABLE_SYMBOLS:
         _held += size
         for step, word in trail:
-            _TABLE.setdefault(len(word), {})[word] = (*entry[:2], entry[2] + steps - step)
+            _TABLE.setdefault(len(word), {})[word] = (ring, at, mu - step)
 
 
-def _after(word: str, steps: int) -> str:
-    """The word ``steps`` steps after ``word``, which does not halt before."""
-    while steps:
-        k = min(len(word) // 3, steps)
-        word, steps = word[3 * k:] + _expand(word[0:3 * k:3]), steps - k
-    return word
+def _enter(word: str, step: int, ring: list, at: int, steps: int) -> tuple:
+    """``(index, mu)``: the first step mu on the cycle ``ring``, at ``ring[index]``, of a
+    run at ``word`` on ``step`` <= mu and at ``ring[at]`` on ``steps``.  Chunks of len/3
+    steps walk to the one that enters the cycle, and mu is bisected in it: every word
+    after mu is on the cycle too."""
+    period = len(ring)
+    while True:
+        k = min(len(word) // 3, steps - step)
+        sampled = word[0:3 * k:3]
+        full = word + _expand(sampled)
+        if full[3 * k:] == ring[(at + step + k - steps) % period]:
+            break
+        word, step = full[3 * k:], step + k
+    lo, hi = 0, k
+    while lo < hi:
+        j = (lo + hi) // 2
+        member = ring[(at + step + j - steps) % period]
+        if (len(word) + j * _ZERO_DELTA + sampled.count("1", 0, j) * _ONE_EXTRA == len(member)
+                and full.startswith(member, 3 * j)):
+            hi = j
+        else:
+            lo = j + 1
+    return (at + step + lo - steps) % period, step + lo
 
 
-def _jump(entry: tuple, steps: int, budget: int, base: int, word: str) -> RunOutcome | None:
-    """``run``'s outcome from its turn at step ``steps`` on a word with the table
-    entry ``entry`` (with a target, only the cycle that the run detected), or
-    None if that does not decide it: a word off the cycle decides only runs whose
-    budget reaches its halt or mu, the cycle's first step.  D needs mu only by its
-    bit length: on the cycle, the least e whose step 2^e - 1 is on it, stepped to
-    from ``word``, the word at step ``base`` <= mu (the last turn's, or the first)."""
-    ring, at, dist = entry
-    mu = steps + dist
-    if dist and mu > budget:
+def _jump(ring: list | None, at, mu: int, budget: int) -> RunOutcome | None:
+    """``run``'s outcome from its fate ``(ring, at, mu)``, or None if mu is past the budget."""
+    if mu > budget:
         return None
     if ring is None:
         return RunOutcome(OutcomeKind.HALTED, mu, at)
     period = len(ring)
-    e = max((period - 1).bit_length(), (mu if dist else base).bit_length())
-    while (1 << e) - 1 < mu and (
-            _after(word, (1 << e) - 1 - base) != ring[(at + (1 << e) - 1 - mu) % period]):
-        e += 1
-    detected = (1 << e) - 1 + period
+    detected = (1 << max(mu.bit_length(), (period - 1).bit_length())) - 1 + period
     end = min(detected, budget)
     final = ring[(at + end - mu) % period]
     if end < detected:
@@ -223,15 +221,15 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
     Repeats are found with constant extra memory: the live configuration is
     raced against a snapshot that is replaced after steps 2^e - 1 (1, 3, 7,
     15, ...), so the first match after a replacement yields the exact period.
-    The first snapshot compared is the one at step ``lazy``, and a hit in its
-    window ends the run at the detection step D (``_jump``).
+    The first snapshot compared is the one at step ``lazy``; a hit in any
+    window gives the run's fate, which ``_jump`` ends at the detection step D.
     Steps are taken in closed-form chunks of len/3 steps across replacements,
     and each chunk's every-third-symbol view is searched for the target and the
     snapshot (``_first_match``), so the outcome is the one a step-by-step
     loop gives.  Each compared word's needle is sliced once per snapshot.
     A detected cycle, and with no target the turn words that fit, join the table
     of known futures.  Only a run with no target reads it: a turn on a known word
-    that decides the run ends it (``_jump``).
+    gives the run's fate, which ends it if it comes within the budget.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -253,13 +251,15 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
         if size == target_size and word == target:
             return RunOutcome(OutcomeKind.TARGET_REACHED, steps, word)
         if size < 3:
-            _learn(trail, steps, (None, word, 0))
+            _learn(trail, None, word, steps)
             return RunOutcome(OutcomeKind.HALTED, steps, word)
         if steps == budget:
             return RunOutcome(OutcomeKind.BUDGET_EXHAUSTED, steps, word)
         if (known := table.get(size)) and (entry := known.get(word)) is not None:
-            if (outcome := _jump(entry, steps, budget, steps - k, last)) is not None:
-                _learn(trail, steps, entry)
+            ring, at, dist = entry
+            at, mu = (at, steps + dist) if dist else _enter(last, steps - k, ring, at, steps)
+            if (outcome := _jump(ring, at, mu, budget)) is not None:
+                _learn(trail, ring, at, mu)
                 return outcome
         elif size <= room and size <= _LEARN:
             trail.append((steps, word))
@@ -292,11 +292,11 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
                 j = view.find(saved_needle, lo + 1, hi + len(saved_needle))
                 if j >= 0 and (j := _first_match(full, view, size, saved, saved_needle,
                                                  hi, j)) is not None:
-                    period = steps + j - refresh // 2  # the snapshot's step
-                    _learn(trail, refresh // 2, entry := _remember(saved, period))
-                    if refresh // 2 == lazy:  # D may precede steps + j: replay
-                        return _jump(entry, lazy, budget, 0, origin)
-                    return RunOutcome(OutcomeKind.CYCLED, steps + j, saved, period)
+                    ring, at, stored = _remember(saved, steps + j - refresh // 2)
+                    at, mu = _enter(origin, 0, ring, at, refresh // 2)
+                    if stored:
+                        _learn(trail, ring, at, mu)
+                    return _jump(ring, at, mu, budget)
             if steps + hi == refresh:
                 saved_size = size + hi * _ZERO_DELTA + sampled.count("1", 0, hi) * _ONE_EXTRA
                 saved = full[3 * hi:3 * hi + saved_size]

@@ -390,18 +390,6 @@ def test_block_search_document_structure(capsys):
     assert any(line.startswith("found: ") for line in lines)
 
 
-def test_decode_tokens_to_binary(capsys):
-    code, out, _ = run_cli(capsys, "decode", "ZZOOOZ")
-    assert code == 0
-    assert out.strip() == words.A
-
-
-def test_decode_binary_to_tokens(capsys):
-    code, out, _ = run_cli(capsys, "decode", words.A)
-    assert code == 0
-    assert out.strip() == "ZZOOOZ"
-
-
 def test_decode_rejects_untokenizable_word(capsys):
     code, _, err = run_cli(capsys, "decode", "010")
     assert code == 1

@@ -8,7 +8,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, stateful, strategies as st
+from hypothesis import assume, given, settings, stateful, strategies as st
 
 from taglab import core, words
 from taglab.core import (
@@ -574,26 +574,38 @@ def cycles_entered_inside_a_snapshot_chunk():
     return list(cases.values())
 
 
+def record_ring_jumps(patch):
+    """Wrap ``run``'s helpers so that the returned list receives the turn step of
+    each jump from a known ring: a call of ``_enter`` that does not follow a
+    cycle detection, which calls ``_remember`` first."""
+    jumps, detected, remember, enter = [], [], core._remember, core._enter
+
+    def remembered(word, period):
+        detected.append(word)
+        return remember(word, period)
+
+    def entered(word, step, ring, at, steps):
+        if not detected:
+            jumps.append(steps)
+        detected.clear()
+        return enter(word, step, ring, at, steps)
+
+    patch.setattr(core, "_remember", remembered)
+    patch.setattr(core, "_enter", entered)
+    return jumps
+
+
 def test_jump_after_a_chunk_that_took_a_snapshot(monkeypatch):
-    # the premise of _jump from a word on the cycle: a cycle entered inside a
+    # the premise of a jump from a word on the cycle: a cycle entered inside a
     # chunk is known at the chunk's end s, the chunk's first word is off the
-    # ring, and the words at the steps 2^e - 1 inside the chunk, stepped from
-    # that word, are on the ring exactly from mu on, so mu's bit length and
-    # the detection step D are exact whether mu comes before or after the
-    # snapshot step r; with only the ring known, a run with no target jumps at
-    # s, and runs end as step-by-step runs do at every budget from s - 1 to
-    # one past D, with no target or each one on the ring, which never jump
+    # ring, and the words inside the chunk are on the ring exactly from mu on,
+    # so mu and the detection step D are exact whether mu comes before or
+    # after the snapshot step r; with only the ring known, a run with no
+    # target jumps at s, and runs end as step-by-step runs do at every budget
+    # from s - 1 to one past D, with no target or each one on the ring, which
+    # never jump
     cases = cycles_entered_inside_a_snapshot_chunk()
     assert {mu <= r for _, mu, _, _, r in cases} == {True, False}
-    jumps = []
-    jump = core._jump
-
-    def recorded(entry, steps, *args):
-        outcome = jump(entry, steps, *args)
-        if outcome is not None:
-            jumps.append(steps)
-        return outcome
-
     for word, mu, period, s, r in cases:
         assert hash_trace(word) == (mu, period)
         detected = brent_detection(mu, period)
@@ -604,9 +616,8 @@ def test_jump_after_a_chunk_that_took_a_snapshot(monkeypatch):
                 forget_table()
                 run(ring[0], budget=20000)
                 assert len(table_entries()) == period
-                jumps.clear()
                 with monkeypatch.context() as patch:
-                    patch.setattr(core, "_jump", recorded)
+                    jumps = record_ring_jumps(patch)
                     outcome = run(word, budget=budget, target=target)
                 assert outcome == reference_run(word, budget=budget, target=target)
                 assert jumps == ([s] if target is None and outcome.steps_taken > s else [])
@@ -638,8 +649,8 @@ def test_run_agrees_with_reference_run_around_the_first_window(monkeypatch, lazy
 def test_first_window_hit_ends_at_the_detection_step(monkeypatch):
     # a hit in the first searched window comes at lazy + period, later than
     # the step D where snapshots from step 0 on see the cycle close when mu
-    # is early; the run replays from its word to the steps 2^e - 1 to find
-    # mu's bit length, whether mu is a turn start or inside a chunk; one word
+    # is early; the run finds mu with _enter from its first word, whether mu
+    # is a turn start or inside a chunk; one word
     # per shape and place of mu on the orbits of words of up to 15 symbols,
     # each from an empty table
     shapes = cycle_shapes(words_up_to(15))
@@ -666,15 +677,6 @@ def test_ring_jump_after_the_detection_step(monkeypatch):
     # see its cycle close; it jumps at s and ends at D, as step-by-step runs
     # do: one word per shape on the orbits of words of up to 15 symbols with
     # _LAZY at 1, 3 and 7, and two longer words at its own value
-    jump = core._jump
-    late = []
-
-    def recorded(entry, steps, *args):
-        outcome = jump(entry, steps, *args)
-        if outcome is not None and outcome.steps_taken < steps:
-            late.append(steps)
-        return outcome
-
     shapes = cycle_shapes(words_up_to(15))
     cases = {}
     for lazy in (1, 3, 7):
@@ -690,11 +692,11 @@ def test_ring_jump_after_the_detection_step(monkeypatch):
         monkeypatch.setattr(core, "_LAZY", lazy)
         forget_table()
         run(orbit_word(word, mu), budget=20000)
-        late.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(core, "_jump", recorded)
+            jumps = record_ring_jumps(patch)
             outcome = run(word, budget=budget)
         assert outcome == reference_run(word, budget=budget)
+        late = [s for s in jumps if outcome.steps_taken < s]
         assert late == [next(s for s in turn_starts(word, budget) if s >= mu)]
     assert len(cases) > 2
 
@@ -706,8 +708,53 @@ def test_remember_returns_a_known_cycle_as_it_is():
     held = core._held
     assert core._remember(ring[0], len(ring)) == first
     assert core._remember(ring[0], len(ring))[0] is first[0]
-    assert core._remember(ring[2], len(ring)) == (first[0], 2, 0)
+    assert core._remember(ring[2], len(ring)) == (first[0], 2, True)
     assert core._held == held == sum(map(len, ring))
+
+
+def test_enter_finds_the_first_step_on_every_short_cycle():
+    # _enter from each turn start at or before mu, with the run at the ring's
+    # word on mu, on mu + 1 and on the next two turn starts, gives hash_trace's
+    # mu and its index in a ring that starts elsewhere; every word of up to 12
+    # symbols that cycles, so that mu is the start, the second or the last step
+    # of the chunk that _enter bisects, or inside it
+    shapes = cycle_shapes(words_up_to(12))
+    places = set()
+    for word in words_up_to(12):
+        if shapes.get(word) is None:
+            continue
+        mu, period = shapes[word]
+        offset = len(word) % period
+        orbit = orbit_words(word, mu + period)
+        ring = orbit[mu + period - offset:] + orbit[mu:mu + period - offset]
+        starts = turn_starts(word, mu + 40)
+        for step in (s for s in starts if s <= mu):
+            for steps in {mu, mu + 1, *[s for s in starts if s > mu][:2]}:
+                at = (offset + steps - mu) % period
+                assert core._enter(orbit[step], step, ring, at, steps) == (offset, mu)
+            places.add("start" if step == mu else "second" if step + 1 == mu
+                       else "last" if mu in starts else "inside")
+    assert places == {"start", "second", "last", "inside"}
+
+
+@given(word=st.text(alphabet="01", min_size=100, max_size=600), chunks=st.integers(0, 3),
+       last=st.booleans(), step=st.integers(0, 5000), past=st.integers(0, 2),
+       spare=st.integers(1, 3), offset=st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_enter_on_long_words(word, chunks, last, step, past, spare, offset):
+    # an orbit with no repeat stands in for a cycle entered at any step mu:
+    # its words from mu on, in a ring longer than the steps from mu that
+    # _enter reads, hold no word from before mu; mu is the start (at step) or
+    # the second step of the chunk that _enter bisects after 0-3 chunks, or
+    # its last step
+    ends = turn_starts(word, 1000)
+    assume(len(orbit_word(word, ends[-1])) >= 3)
+    mu = ends[chunks + 1] if last else ends[chunks] + (chunks > 0)
+    period = offset + past + spare
+    orbit = orbit_words(word, mu + period)
+    assume(len(set(orbit)) == len(orbit))
+    ring = orbit[mu + period - offset:] + orbit[mu:mu + period - offset]
+    assert core._enter(word, step, ring, offset + past, step + mu + past) == (offset, step + mu)
 
 
 def test_a_word_learned_off_the_cycle_is_not_reached_from_it():
