@@ -117,13 +117,11 @@ def closure_target(seed: Quadruplet) -> Quadruplet:
     return Quadruplet(seed.left, seed.left + seed.mid + seed.right, seed.right, seed.offset)
 
 
-def verify_chain(seed: Quadruplet, steps: int = CHAIN_STEPS) -> ChainCertificate:
-    """Derive ``steps`` times from ``seed`` and test closure onto the grown seed."""
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
+def verify_chain(seed: Quadruplet) -> ChainCertificate:
+    """Derive CHAIN_STEPS times from ``seed`` and test closure onto the grown seed."""
     quadruplets = [seed]
     certificates = []
-    for _ in range(steps):
+    for _ in range(CHAIN_STEPS):
         certificate = derive_next(quadruplets[-1])
         certificates.append(certificate)
         quadruplets.append(certificate.derived)

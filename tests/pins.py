@@ -1,11 +1,15 @@
 """Every pinned command-line output of taglab, in one table, and its checks.
 
 Each row of ``PINS`` is a command line, the exit code it must end with, and
-its stdout: the exact text, or a ``Sha256`` of it.  ``problems(run)`` checks
-every row, and the emit, check and tamper sequence of a certificate, through
-a runner ``run(argv) -> (exit code, stdout)`` and returns one line per
-failure; ``closed_pipe_problems`` needs a real process.  ``tests/test_cli.py``
-runs them through ``taglab.cli.main`` in process, and
+its stdout: the exact text, or a ``Sha256`` of it.  This table is the one
+place that pins a fixed command line's exit code and stdout; the tests in
+``tests/test_cli.py`` check only what a row cannot say: stderr, files,
+monkeypatched modules, the environment, random command lines, the parser
+and which modules load.  ``problems(run)`` checks every row, and the emit,
+check and tamper sequence of a certificate, through a runner
+``run(argv) -> (exit code, stdout)`` and returns one line per failure;
+``closed_pipe_problems`` needs a real process.  ``tests/test_cli.py`` runs
+them through ``taglab.cli.main`` in process, and
 
     python tests/pins.py
 
@@ -29,6 +33,15 @@ class Sha256(str):
 
 # the top-level help is its own text, so editing a module docstring cannot change it
 HELP = Sha256("0a5dd174dc8217587db45d725b366358db43c34b90de1be7c73372f90bf119e8")
+# each subcommand's --help
+COMMAND_HELPS = {
+    "simulate": Sha256("71c173b3e63a8d4d5281a6c3e77dc130e9e24c7cb6d3296796e14d44f05fc0e3"),
+    "verify-theorem": Sha256("dfa0b67740d2e2848fdef386d16d6da4f68da53dbcf28c76ef8dfe0cf0f43841"),
+    "verify-omega": Sha256("fe6d56e7bb9d22f6f9e5f8d1771b1212b761ea5037640f262ef99356c163cd33"),
+    "blockset": Sha256("4d97ba0486241a2c0b2e8ccb6143162ce3fbefe11440f892901d1185a269f3ea"),
+    "block-search": Sha256("e0f6ed3aaf08e7c7d6a7b1daba243d7e08ca4c9bd1a08a8ce5b2a6975fc5155c"),
+    "decode": Sha256("a21171fa4914330fdaeec7530b768191d795cb260fb19cf5776416bf9989f020"),
+}
 # the 3x3 growth grid: n=0: 10444 10678 10912, n=1: 10522 10756 10990, n=2: 10600 10834 11068
 GRID = Sha256("b875c7c67372222bc634c9a097171e8354683560ce1a51cea9645887b031ea28")
 # the 13-step chain from (A, B, C, 0)
@@ -52,6 +65,8 @@ CYCLES = {
 
 PINS = [
     (["--help"], 0, HELP),
+    (["-h"], 0, HELP),
+    *(([command, "--help"], 0, out) for command, out in COMMAND_HELPS.items()),
     (["simulate", "--word", "1", "--budget", "5", "--bogus"], 1, ""),
     (["frobnicate"], 1, ""),
     # words too short to step halt at once; a budget that runs out exits 2
@@ -71,6 +86,9 @@ PINS = [
     (["blockset", "0000"], 0, "0uu0\nv0ww\nvv0w\n"),
     (["blockset", "10101"], 0, "1uu0w\nv0uu1\nvv1ww\n"),
     (["blockset", "w1v"], 0, ""),
+    # a long row that converts only to itself, and a symbol outside the row alphabet
+    (["blockset", "1" + "uu1" * 400], 0, "1" + "uu1" * 400 + "\n"),
+    (["blockset", "10a01"], 1, ""),
     # A's tokens and binary form, both ways, and a word no token parse covers
     (["decode", "ZZOOOZ"], 0, "000011011101110100\n"),
     (["decode", "000011011101110100"], 0, "ZZOOOZ\n"),
@@ -86,6 +104,8 @@ PINS = [
     (["verify-theorem", "0", "0", "1"], 2, "n=0: -\n"),
     (["verify-omega"], 0, CERTIFICATE),
     (["verify-omega", "--seed-x", "1"], 3, "certificate FAILED\n"),
+    # a flip index past A's 18 symbols
+    (["verify-omega", "--flip-a", "99"], 1, ""),
 ]
 
 

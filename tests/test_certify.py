@@ -8,6 +8,7 @@ from taglab import words
 from taglab.algebra import cut, pass_output
 from taglab.certify import (
     CHAIN_STEPS,
+    ChainCertificate,
     InvariantViolated,
     Quadruplet,
     StepChecks,
@@ -151,14 +152,21 @@ def test_certificate_problems_pin_the_seed_and_the_step_count(chain):
     other = verify_chain(Quadruplet(words.A, words.A + words.B + words.C, words.C, 0))
     assert other.valid
     assert certificate_problems(other) == [seed_problem]
-    longer = verify_chain(seed_quadruplet(), steps=2 * CHAIN_STEPS)
+    # the genuine chain run on for 13 more steps no longer closes
+    quadruplets, certificates = list(chain.quadruplets), list(chain.step_certificates)
+    for _ in range(CHAIN_STEPS):
+        certificates.append(derive_next(quadruplets[-1]))
+        quadruplets.append(certificates[-1].derived)
+    longer = ChainCertificate(tuple(quadruplets), tuple(certificates), False)
     assert certificate_problems(longer) == ["closure_ok: fail", seed_problem]
 
 
 def test_zero_step_chain_fails_closure():
-    chain = verify_chain(seed_quadruplet(), steps=0)
-    assert not chain.closure_ok
-    assert chain.quadruplets == (seed_quadruplet(),)
+    # a document may claim no steps at all: the seed alone is not its grown form
+    chain = ChainCertificate((seed_quadruplet(),), (), False)
+    assert parse_certificate(render_certificate(chain)) == chain
+    assert certificate_problems(chain) == [
+        "closure_ok: fail", f"seed: not the {CHAIN_STEPS}-step chain from (A, B, C, 0)"]
 
 
 def test_instantiate_with_zero_powers_is_mid_word():

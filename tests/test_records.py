@@ -31,7 +31,7 @@ RECORDS = {
         lambda: derive_next(seed_quadruplet()), "y", ("source", "derived", "y", "checks"),
     ),
     "ChainCertificate": (
-        lambda: verify_chain(seed_quadruplet(), 2), "closure_ok",
+        lambda: verify_chain(seed_quadruplet()), "closure_ok",
         ("quadruplets", "step_certificates", "closure_ok"),
     ),
     "Provenance": (lambda: Provenance("0"), "extensions", ("seed", "extensions")),
