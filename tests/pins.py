@@ -2,12 +2,14 @@
 
 Each row of ``PINS`` is a command line, the exit code it must end with, and
 its stdout: the exact text, or a ``Sha256`` of it.  This table is the one
-place that pins a fixed command line's exit code and stdout; the tests in
-``tests/test_cli.py`` check only what a row cannot say: stderr, files,
+place that pins a fixed command line's exit code and stdout; a test in
+``tests/test_cli.py`` that names one behaviour checks that behaviour's rows
+here, and the rest check only what a row cannot say: stderr, files,
 monkeypatched modules, the environment, random command lines, the parser
 and which modules load.  ``problems(run)`` checks every row, and the emit,
 check and tamper sequence of a certificate, through a runner
 ``run(argv) -> (exit code, stdout)`` and returns one line per failure;
+``row_problems(run, rows)`` checks the given rows only, and
 ``closed_pipe_problems`` needs a real process.  ``tests/test_cli.py`` runs
 them through ``taglab.cli.main`` in process, and
 
@@ -140,10 +142,15 @@ def round_trip_problems(run):
     return [line for line in found if line]
 
 
+def row_problems(run, rows):
+    """One line per row of ``rows`` whose command line ``run`` gets wrong."""
+    found = [_problem(argv, *run(argv), code, out) for argv, code, out in rows]
+    return [line for line in found if line]
+
+
 def problems(run):
     """One line per pinned command line, or step of the round trip, that ``run`` gets wrong."""
-    found = [_problem(argv, *run(argv), code, out) for argv, code, out in PINS]
-    return [line for line in found if line] + round_trip_problems(run)
+    return row_problems(run, PINS) + round_trip_problems(run)
 
 
 def closed_pipe_problems(command):

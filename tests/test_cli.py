@@ -2,9 +2,10 @@
 
 ``tests/pins.py`` is the one place that pins a fixed command line's exit
 code and stdout; three tests here run that table in process and check the
-table itself.  The rest check only what a row cannot express: stderr text,
-files, monkeypatched modules, the environment, random command lines, the
-parser's parity with argparse, and which modules a subcommand loads.
+table itself, and a test named for one behaviour runs just the rows that pin
+it.  The rest check only what a row cannot express: stderr text, files,
+monkeypatched modules, the environment, random command lines, the parser's
+parity with argparse, and which modules a subcommand loads.
 """
 
 import contextlib
@@ -70,6 +71,14 @@ def run_in_process(argv):
     return code, out.getvalue()
 
 
+def pinned_problems(*argvs):
+    """What ``run_in_process`` gets wrong of the ``pins.PINS`` rows for ``argvs``,
+    each of which the table must hold."""
+    rows = [row for row in pins.PINS if row[0] in argvs]
+    assert sorted(argv for argv, _, _ in rows) == sorted(argvs)
+    return pins.row_problems(run_in_process, rows)
+
+
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 def test_console_pins_hold_on_a_cold_and_a_warm_table(warm):
     # every row of tests/pins.py, which CI runs against the installed script;
@@ -116,11 +125,107 @@ def test_no_command_line_is_pinned_twice():
     assert [argv for argv in set(argvs) if argvs.count(argv) > 1] == []
 
 
+# Tests named for one behaviour: each runs the rows of tests/pins.py that pin it.
+
+def test_simulate_halts_on_short_words():
+    assert pinned_problems(["simulate", "--word", "0", "--budget", "5"],
+                           ["simulate", "--word", "01", "--budget", "5"]) == []
+
+
+def test_simulate_reports_cycles():
+    assert pinned_problems(*(["simulate", "--word", "100100100", "--budget", budget]
+                             for budget in ("1000", "200000"))) == []
+
+
+def test_simulate_budget_exhaustion_exit_code():
+    assert pinned_problems(["simulate", "--word", "100100100", "--budget", "3"]) == []
+
+
+def test_unknown_flags_exit_with_input_error():
+    assert pinned_problems(["simulate", "--word", "1", "--budget", "5", "--bogus"]) == []
+
+
+def test_unknown_command_exits_with_input_error():
+    assert pinned_problems(["frobnicate"]) == []
+
+
+def test_verify_theorem_origin_cell():
+    # the grid's first line starts with the origin cell, n=0: 10444
+    assert pinned_problems(["verify-theorem", "2", "2", "200000"]) == []
+
+
+def test_verify_theorem_small_grid():
+    assert pinned_problems(["verify-theorem", "2", "2", "200000"]) == []
+
+
+def test_verify_theorem_budget_failure():
+    assert pinned_problems(["verify-theorem", "0", "0", "1"]) == []
+
+
+def test_verify_omega_emit_check_round_trip():
+    # the emitted file's pinned sha256 makes two emits agree byte for byte
+    assert pins.round_trip_problems(run_in_process) == []
+
+
+def test_verify_omega_flip_index_validation():
+    assert pinned_problems(["verify-omega", "--flip-a", "99"]) == []
+
+
+def test_blockset_canonical_order():
+    assert pinned_problems(["blockset", "10101"]) == []
+
+
+def test_blockset_long_word():
+    assert pinned_problems(["blockset", "1" + "uu1" * 400]) == []
+
+
+def test_blockset_empty_set():
+    assert pinned_problems(["blockset", "w1v"]) == []
+
+
+def test_blockset_rejects_bad_alphabet():
+    assert pinned_problems(["blockset", "10a01"]) == []
+
+
+def test_block_search_document_structure():
+    assert pinned_problems(["block-search", "2", "50", "1"]) == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"]])
+def test_help_lists_every_command(argv):
+    assert pinned_problems(argv) == []
+
+
+@pytest.mark.parametrize("command", pins.COMMAND_HELPS)
+def test_help_names_every_argument(command):
+    assert pinned_problems([command, "--help"]) == []
+
+
+def test_simulate_rejects_bad_word(capsys):
+    code, _, err = run_cli(capsys, "simulate", "--word", "012", "--budget", "5")
+    assert code == 1
+    assert "error" in err
+
+
+def test_simulate_rejects_missing_file(capsys):
+    code, _, err = run_cli(capsys, "simulate", "--word", "@/no/such/file", "--budget", "5")
+    assert code == 1
+    assert err.startswith("error: ")
+
+
 def test_verify_omega_rejects_perturbed_offset(capsys):
     for offset in ("1", "2"):
         code, out, err = run_cli(capsys, "verify-omega", "--seed-x", offset)
         assert (code, out) == (3, "certificate FAILED\n")
         assert err.startswith("invariant: ")
+
+
+def test_verify_omega_rejects_flipped_symbols(capsys):
+    # each flip breaks an invariant of the chain or leaves it unclosed, and says which
+    for index in range(18):
+        code, _, err = run_cli(capsys, "verify-omega", "--flip-a", str(index))
+        assert code == 3, f"flip at {index} was accepted"
+        assert err.startswith(("invariant: ", "closure_ok: fail\n")), index
 
 
 def test_verify_omega_check_rejects_malformed_document(tmp_path, capsys):
@@ -218,6 +323,19 @@ def test_blockset_reads_word_from_file(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_verify_omega_emit_to_missing_directory(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "verify-omega", "--emit", str(tmp_path / "no" / "x.txt"))
+    assert code == 1
+    assert err.startswith("error: ")
+
+
+def test_block_search_out_to_missing_directory(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "block-search", "1", "1", "1",
+                           "--out", str(tmp_path / "no" / "x.txt"))
+    assert code == 1
+    assert err.startswith("error: ")
+
+
 # Every path argument, with PATH where the path goes, and whether it is read
 # (a written path cannot be a non-ASCII file).
 PATH_ARGUMENTS = {
@@ -264,6 +382,12 @@ def test_an_error_inside_a_handler_ends_as_one_error_line(monkeypatch, capsys):
     monkeypatch.setattr(blocks, "search", boom)
     code, out, err = run_cli(capsys, "block-search", "2", "10", "1")
     assert (code, out, err) == (1, "", "error: boom\n")
+
+
+def test_decode_rejects_untokenizable_word(capsys):
+    code, _, err = run_cli(capsys, "decode", "010")
+    assert code == 1
+    assert "error" in err
 
 
 # Argv fuzzing: numbers stay small (rows <= 2, budgets <= 50) so each
