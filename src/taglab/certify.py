@@ -54,17 +54,9 @@ class StepChecks(namedtuple("StepChecks", CHECK_NAMES)):
 
     __slots__ = ()
 
-    @property
-    def all_pass(self) -> bool:
-        return all(self)
-
 
 class StepCertificate(namedtuple("StepCertificate", "source derived y checks")):
     __slots__ = ()
-
-    @property
-    def valid(self) -> bool:
-        return self.checks.all_pass and self.y == self.derived.offset
 
 
 class ChainCertificate(namedtuple("ChainCertificate", "quadruplets step_certificates closure_ok")):
@@ -72,7 +64,8 @@ class ChainCertificate(namedtuple("ChainCertificate", "quadruplets step_certific
 
     @property
     def valid(self) -> bool:
-        return self.closure_ok and all(c.valid for c in self.step_certificates)
+        """The checker's verdict: ``certificate_problems`` finds nothing, the seed included."""
+        return not certificate_problems(self)
 
 
 def seed_quadruplet() -> Quadruplet:

@@ -22,10 +22,10 @@ period.  ``run`` compares no snapshot before step ``_LAZY``, whose window
 decides all earlier ones; a target on the orbit comes before D.  A run's fate
 ``(ring, at, mu)`` is the word ``ring[at]`` at its first step mu on the cycle
 ``ring`` (its words in step order), or its halt at ``at`` on mu if ``ring`` is
-None: ``_enter`` finds mu, ``_jump`` the outcome.  Only runs with no target
-read the table of known futures, of at most ``_TABLE_SYMBOLS`` symbols, which
-stops adding when full and never evicts: detected cycles and the turn words of
-runs with no target.  No result depends on what ran before.
+None: ``_enter`` finds mu, ``_jump`` publishes the run's turns and ends it.
+Only runs with no target read the table of known futures, which holds up to
+``_TABLE_SYMBOLS`` symbols and never evicts: detected cycles and those runs'
+turn words.  No result depends on what ran before.
 """
 
 from __future__ import annotations
@@ -161,20 +161,6 @@ def _remember(word: str, period: int) -> tuple:
     return ring, 0, stored
 
 
-def _learn(trail: list, ring: list | None, at, mu: int) -> None:
-    """Publish ``trail``'s turns ``(step, word)`` before mu toward the fate, if they fit."""
-    global _held
-    if not trail:
-        return
-    while trail and trail[-1][0] >= mu:
-        trail.pop()
-    size = sum(len(word) for _, word in trail)
-    if _held + size <= _TABLE_SYMBOLS:
-        _held += size
-        for step, word in trail:
-            _TABLE.setdefault(len(word), {})[word] = (ring, at, mu - step)
-
-
 def _enter(word: str, step: int, ring: list, at: int, steps: int) -> tuple:
     """``(index, mu)``: the first step mu on the cycle ``ring``, at ``ring[index]``, of a
     run at ``word`` on ``step`` <= mu and at ``ring[at]`` on ``steps``.  Chunks of len/3
@@ -200,10 +186,20 @@ def _enter(word: str, step: int, ring: list, at: int, steps: int) -> tuple:
     return (at + step + lo - steps) % period, step + lo
 
 
-def _jump(ring: list | None, at, mu: int, budget: int) -> RunOutcome | None:
-    """``run``'s outcome from its fate ``(ring, at, mu)``, or None if mu is past the budget."""
+def _jump(trail: list, ring: list | None, at, mu: int, budget: int) -> RunOutcome | None:
+    """``run``'s outcome from its fate ``(ring, at, mu)``, or None if mu is past the budget;
+    an outcome first publishes ``trail``'s turns ``(step, word)`` before mu, if they fit."""
+    global _held
     if mu > budget:
         return None
+    if trail:
+        while trail and trail[-1][0] >= mu:
+            trail.pop()
+        size = sum(len(word) for _, word in trail)
+        if _held + size <= _TABLE_SYMBOLS:
+            _held += size
+            for step, word in trail:
+                _TABLE.setdefault(len(word), {})[word] = (ring, at, mu - step)
     if ring is None:
         return RunOutcome(OutcomeKind.HALTED, mu, at)
     period = len(ring)
@@ -221,15 +217,14 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
     Repeats are found with constant extra memory: the live configuration is
     raced against a snapshot that is replaced after steps 2^e - 1 (1, 3, 7,
     15, ...), so the first match after a replacement yields the exact period.
-    The first snapshot compared is the one at step ``lazy``; a hit in any
-    window gives the run's fate, which ``_jump`` ends at the detection step D.
-    Steps are taken in closed-form chunks of len/3 steps across replacements,
-    and each chunk's every-third-symbol view is searched for the target and the
-    snapshot (``_first_match``), so the outcome is the one a step-by-step
-    loop gives.  Each compared word's needle is sliced once per snapshot.
-    A detected cycle, and with no target the turn words that fit, join the table
-    of known futures.  Only a run with no target reads it: a turn on a known word
-    gives the run's fate, which ends it if it comes within the budget.
+    The first snapshot compared is the one at step ``lazy``.  Steps are taken
+    in closed-form chunks of len/3 steps across replacements, and each chunk's
+    every-third-symbol view is searched for the target and the snapshot
+    (``_first_match``), so the outcome is the one a step-by-step loop gives.
+    Each compared word's needle is sliced once per snapshot.  A halt, a window
+    hit or, with no target, a turn on a known word gives the fate, and within
+    the budget ``_jump`` ends the run from it.  Detected cycles and a
+    targetless run's turn words join the table of known futures.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -244,22 +239,20 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
     # within the budget; an impossible length keeps earlier ones from being compared.
     lazy = min(_LAZY, (1 << (budget + 1).bit_length() - 2) - 1)
     origin = last = saved = word
-    saved_size, saved_needle = (-budget * _SPREAD if lazy else len(word)), word[0:3 * _PREFIX:3]
-    refresh, steps, k = lazy or 1, 0, 0
+    saved_size, saved_needle = -budget * _SPREAD, word[0:3 * _PREFIX:3]
+    refresh, steps, k = lazy, 0, 0
     while True:
         size = len(word)
         if size == target_size and word == target:
             return RunOutcome(OutcomeKind.TARGET_REACHED, steps, word)
         if size < 3:
-            _learn(trail, None, word, steps)
-            return RunOutcome(OutcomeKind.HALTED, steps, word)
+            return _jump(trail, None, word, steps, budget)
         if steps == budget:
             return RunOutcome(OutcomeKind.BUDGET_EXHAUSTED, steps, word)
         if (known := table.get(size)) and (entry := known.get(word)) is not None:
             ring, at, dist = entry
             at, mu = (at, steps + dist) if dist else _enter(last, steps - k, ring, at, steps)
-            if (outcome := _jump(ring, at, mu, budget)) is not None:
-                _learn(trail, ring, at, mu)
+            if (outcome := _jump(trail, ring, at, mu, budget)) is not None:
                 return outcome
         elif size <= room and size <= _LEARN:
             trail.append((steps, word))
@@ -294,9 +287,7 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
                                                  hi, j)) is not None:
                     ring, at, stored = _remember(saved, steps + j - refresh // 2)
                     at, mu = _enter(origin, 0, ring, at, refresh // 2)
-                    if stored:
-                        _learn(trail, ring, at, mu)
-                    return _jump(ring, at, mu, budget)
+                    return _jump(trail if stored else [], ring, at, mu, budget)
             if steps + hi == refresh:
                 saved_size = size + hi * _ZERO_DELTA + sampled.count("1", 0, hi) * _ONE_EXTRA
                 saved = full[3 * hi:3 * hi + saved_size]

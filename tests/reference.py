@@ -4,7 +4,7 @@ import argparse
 import itertools
 import sys
 
-from taglab.blocks import _lowerings, row_key
+from taglab.blocks import _lowerings
 from taglab import cli
 from taglab.core import DEFAULT_PRODUCTION, NotTokenizable, WordTooShort, check_word
 
@@ -112,7 +112,7 @@ def reference_candidates(row: str, max_suffix: int) -> list[str]:
             members = _lowerings(row + suffix)
             if len(members) == 1 and members[0].count("0") + members[0].count("1") == base + 1:
                 found.append(suffix)
-    found.sort(key=row_key)
+    found.sort()
     return found
 
 

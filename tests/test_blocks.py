@@ -18,7 +18,6 @@ from taglab.blocks import (
     Provenance,
     SearchHit,
     SearchResult,
-    block_key,
     check_conditions,
     converting_set,
     create_initial_blocks,
@@ -62,12 +61,9 @@ long_block_words = st.one_of(
 def brute_converting_set(word):
     """Oracle: enumerate every positionwise replacement, keep language members."""
     return sorted(
-        (
-            cand
-            for cand in map("".join, itertools.product(*(CHOICES[s] for s in word)))
-            if ROW_LANGUAGE.fullmatch(cand)
-        ),
-        key=row_key,
+        cand
+        for cand in map("".join, itertools.product(*(CHOICES[s] for s in word)))
+        if ROW_LANGUAGE.fullmatch(cand)
     )
 
 
@@ -87,7 +83,7 @@ def pruned_converting_set(word):
             for choice in CHOICES[symbol]
             if ROW_PREFIX.fullmatch(prefix + choice)
         ]
-    return sorted((row for row in prefixes if ROW_LANGUAGE.fullmatch(row)), key=row_key)
+    return sorted(row for row in prefixes if ROW_LANGUAGE.fullmatch(row))
 
 
 def brute_extension_candidates(row, max_suffix, lowerings=brute_converting_set):
@@ -99,7 +95,7 @@ def brute_extension_candidates(row, max_suffix, lowerings=brute_converting_set):
             members = lowerings(row + suffix)
             if len(members) == 1 and members[0].count("0") + members[0].count("1") - base == 1:
                 found.append(suffix)
-    return sorted(found, key=row_key)
+    return sorted(found)
 
 
 def replay_extension(rows, max_suffix, lowerings=brute_converting_set):
@@ -154,14 +150,14 @@ def search_blocks(draw):
     max_suffix = draw(st.integers(1, 3))
     seed = draw(st.sampled_from(INITIAL_SEEDS))
     depth = draw(st.integers(1, 3))
-    rows = draw(st.sampled_from(sorted(create_initial_blocks(seed, depth), key=block_key)))
+    rows = draw(st.sampled_from(sorted(create_initial_blocks(seed, depth))))
     if draw(st.booleans()):
         try:
             children = extend_right(rows, max_suffix)
         except NoExtension:
             children = set()
         if children:
-            rows = draw(st.sampled_from(sorted(children, key=block_key)))
+            rows = draw(st.sampled_from(sorted(children)))
     return rows, max_suffix
 
 
@@ -239,7 +235,7 @@ def test_converting_set_leaves_nothing_behind():
 @settings(deadline=None)
 def test_converting_set_members_stay_in_language(word):
     members = converting_set(word)
-    assert members == sorted(set(members), key=row_key)
+    assert members == sorted(set(members))
     for member in members:
         assert len(member) == len(word)
         assert is_row(member)
@@ -266,7 +262,7 @@ def test_converting_set_contains_every_raised_row(case):
 def test_cached_results_are_fresh_lists(call):
     expected = list(call())
     assert len(expected) > 1
-    assert expected == sorted(expected, key=row_key)
+    assert expected == sorted(expected)
     for mutate in (list.clear, lambda xs: xs.append("0"), list.reverse):
         returned = call()
         mutate(returned)
@@ -497,7 +493,7 @@ def unpruned_bfs(max_rows, max_depth, max_suffix):
     seen = set()
     for seed in INITIAL_SEEDS:
         for depth in range(1, max_rows):
-            for rows in sorted(create_initial_blocks(seed, depth), key=block_key):
+            for rows in sorted(create_initial_blocks(seed, depth)):
                 if rows not in seen:
                     seen.add(rows)
                     frontier.append((rows, Provenance(seed, 0)))
@@ -511,7 +507,7 @@ def unpruned_bfs(max_rows, max_depth, max_suffix):
         if provenance.extensions == max_depth:
             continue
         try:
-            children = sorted(extend_right(rows, max_suffix), key=block_key)
+            children = sorted(extend_right(rows, max_suffix))
         except NoExtension:
             continue
         for child in children:

@@ -8,6 +8,7 @@ from taglab import words
 from taglab.algebra import cut, pass_output
 from taglab.certify import (
     CHAIN_STEPS,
+    CHECK_NAMES,
     ChainCertificate,
     InvariantViolated,
     Quadruplet,
@@ -56,7 +57,7 @@ def test_first_derivation_left_word():
 
 def test_chain_certifies(chain):
     assert len(chain.step_certificates) == 13
-    assert all(cert.valid for cert in chain.step_certificates)
+    assert certificate_problems(chain) == []
     assert chain.closure_ok
     assert chain.valid
 
@@ -65,9 +66,27 @@ def test_chain_certifies(chain):
 def test_one_failed_check_fails_the_step(chain, failing):
     flags = [True] * 6
     flags[failing] = False
-    checks = StepChecks(*flags)
-    assert not checks.all_pass
-    assert not chain.step_certificates[0]._replace(checks=checks).valid
+    steps = list(chain.step_certificates)
+    steps[0] = steps[0]._replace(checks=StepChecks(*flags))
+    forged = chain._replace(step_certificates=tuple(steps))
+    assert certificate_problems(forged) == [
+        f"step.1.checks.{CHECK_NAMES[failing]}: stored flag disagrees with recomputation"]
+    assert not forged.valid
+
+
+def test_forged_derived_word_with_passing_flags_is_not_valid(chain):
+    # a document whose flags all read pass is judged by recomputation, not by
+    # its flags: flip one symbol of a derived word and leave the flags alone
+    word = chain.quadruplets[3].left
+    line = f"step.3.derived.a: {word}\n"
+    text = render_certificate(chain)
+    assert text.count(line) == 1
+    flipped = "10"[int(word[0])] + word[1:]
+    forged = parse_certificate(text.replace(line, f"step.3.derived.a: {flipped}\n"))
+    assert all(all(cert.checks) for cert in forged.step_certificates) and forged.closure_ok
+    assert not forged.valid
+    assert "step.3.checks.d_ok: stored flag disagrees with recomputation" in (
+        certificate_problems(forged))
 
 
 def test_chain_closure_is_exact_word_equality(chain):
@@ -150,7 +169,7 @@ def test_certificate_problems_pin_the_seed_and_the_step_count(chain):
     seed_problem = f"seed: not the {CHAIN_STEPS}-step chain from (A, B, C, 0)"
     # (A, ABC, C, 0) grows like the paper's seed and its chain closes
     other = verify_chain(Quadruplet(words.A, words.A + words.B + words.C, words.C, 0))
-    assert other.valid
+    assert not other.valid
     assert certificate_problems(other) == [seed_problem]
     # the genuine chain run on for 13 more steps no longer closes
     quadruplets, certificates = list(chain.quadruplets), list(chain.step_certificates)

@@ -299,13 +299,14 @@ def test_run_agrees_with_reference_run_on_every_short_word(monkeypatch):
     # the orbits regime, exhaustively: quick halts and short cycles whose
     # snapshot is replaced after steps 1, 3, 7, ... before they close; first
     # from an empty table of known cycles, then again with every cycle known,
-    # when no run may detect a cycle step by step, so each cycling word jumps
+    # when no run may detect a cycle step by step, so each cycling word jumps;
+    # budgets 2 and 3 take their first snapshot at steps 0 and 1
     short = words_up_to(12)
 
     def detected_again(word, period):
         raise AssertionError(f"cycle of {word} detected step by step")
 
-    for budget in (1, 5, 37, 2000):
+    for budget in (1, 2, 3, 5, 37, 2000):
         forget_table()
         expected = [reference_run(word, budget=budget) for word in short]
         assert [run(word, budget=budget) for word in short] == expected
