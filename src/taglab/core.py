@@ -16,16 +16,17 @@ accept a hit whose running length (each sampled symbol changes it by
 where the chunk holds the whole word, which keeps detection exact.  Each
 chunk takes len/3 steps, or the budget's rest, across cycle snapshot steps.
 
-Cycle snapshots are taken at the steps 2^e - 1, and a cycle entered at step
-mu is first seen to close at D = 2^max(bitlen mu, bitlen(period - 1)) - 1 +
+Cycle snapshots are taken at the steps 2^e - 1, and a cycle entered at step mu
+is first seen to close at D = 2^max(bitlen mu, bitlen(period - 1)) - 1 +
 period.  ``run`` compares no snapshot before step ``_LAZY``, whose window
-decides all earlier ones; a target on the orbit comes before D.  A run's fate
-``(ring, at, mu)`` is the word ``ring[at]`` at its first step mu on the cycle
-``ring`` (its words in step order), or its halt at ``at`` on mu if ``ring`` is
-None: ``_enter`` finds mu, ``_jump`` publishes the run's turns and ends it.
-Only runs with no target read the table of known futures, which holds up to
-``_TABLE_SYMBOLS`` symbols and never evicts: detected cycles and those runs'
-turn words.  No result depends on what ran before.
+decides all earlier ones; a target on the orbit comes before D.  A quiet turn,
+with no snapshot step and the snapshot's length out of reach, searches none.  A
+run's fate ``(ring, at, mu)`` is the word ``ring[at]`` at its first step mu on
+the cycle ``ring`` (its words in step order), or its halt at ``at`` on mu if
+``ring`` is None: ``_enter`` finds mu, ``_jump`` publishes the run's turns and
+ends it.  Only runs with no target read the table of known futures, which holds
+up to ``_TABLE_SYMBOLS`` symbols and never evicts: detected cycles and those
+runs' turn words after the first.  No result depends on what ran before.
 """
 
 from __future__ import annotations
@@ -200,15 +201,16 @@ def _jump(trail: list, ring: list | None, at, mu: int, budget: int) -> RunOutcom
             _held += size
             for step, word in trail:
                 _TABLE.setdefault(len(word), {})[word] = (ring, at, mu - step)
+    # Built past RunOutcome's checking __new__: these fields are consistent.
     if ring is None:
-        return RunOutcome(OutcomeKind.HALTED, mu, at)
+        return tuple.__new__(RunOutcome, (OutcomeKind.HALTED, mu, at, None))
     period = len(ring)
     detected = (1 << max(mu.bit_length(), (period - 1).bit_length())) - 1 + period
     end = min(detected, budget)
     final = ring[(at + end - mu) % period]
     if end < detected:
-        return RunOutcome(OutcomeKind.BUDGET_EXHAUSTED, end, final)
-    return RunOutcome(OutcomeKind.CYCLED, end, final, period)
+        return tuple.__new__(RunOutcome, (OutcomeKind.BUDGET_EXHAUSTED, end, final, None))
+    return tuple.__new__(RunOutcome, (OutcomeKind.CYCLED, end, final, period))
 
 
 def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
@@ -224,7 +226,7 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
     Each compared word's needle is sliced once per snapshot.  A halt, a window
     hit or, with no target, a turn on a known word gives the fate, and within
     the budget ``_jump`` ends the run from it.  Detected cycles and a
-    targetless run's turn words join the table of known futures.
+    targetless run's turn words after the first join the table.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -238,8 +240,8 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
     # The first snapshot is at step lazy, the largest 2^e - 1 up to _LAZY whose window ends
     # within the budget; an impossible length keeps earlier ones from being compared.
     lazy = min(_LAZY, (1 << (budget + 1).bit_length() - 2) - 1)
-    origin = last = saved = word
-    saved_size, saved_needle = -budget * _SPREAD, word[0:3 * _PREFIX:3]
+    origin = last = word
+    saved_size = -budget * _SPREAD
     refresh, steps, k = lazy, 0, 0
     while True:
         size = len(word)
@@ -254,7 +256,7 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
             at, mu = (at, steps + dist) if dist else _enter(last, steps - k, ring, at, steps)
             if (outcome := _jump(trail, ring, at, mu, budget)) is not None:
                 return outcome
-        elif size <= room and size <= _LEARN:
+        elif steps and size <= room and size <= _LEARN:
             trail.append((steps, word))
             room -= size
         k = size // 3
@@ -275,12 +277,14 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
             if j >= 0 and (j := _first_match(full, view, size, target, target_needle,
                                              k - 1, j)) is not None:
                 return RunOutcome(OutcomeKind.TARGET_REACHED, steps + j, target)
-        # Steps lo + 1..hi race the snapshot, which the word at a snapshot
-        # step hi replaces, its length counted from the 1s before it.
-        hi = 0
+        # Steps lo + 1..hi race the snapshot, which the word at a snapshot step hi replaces,
+        # its length counted from the 1s before it.  A quiet turn holds no snapshot step
+        # and is not near the snapshot's length, so it searches no window.
+        near = -reach <= size - saved_size <= reach
+        hi = 0 if near or refresh <= steps + k else k
         while hi < k:
             lo, hi = hi, refresh - steps if refresh < steps + k else k
-            if -reach <= size - saved_size <= reach:
+            if near:
                 view = view or sampled + full[3 * k:3 * (k + _PREFIX):3]
                 j = view.find(saved_needle, lo + 1, hi + len(saved_needle))
                 if j >= 0 and (j := _first_match(full, view, size, saved, saved_needle,
@@ -293,6 +297,7 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
                 saved = full[3 * hi:3 * hi + saved_size]
                 saved_needle = saved[0:3 * _PREFIX:3]
                 refresh = 2 * refresh + 1
+                near = -reach <= size - saved_size <= reach
         last, word = word, full[3 * k:]
         steps += k
 

@@ -299,12 +299,17 @@ def test_run_agrees_with_reference_run_on_every_short_word(monkeypatch):
     # the orbits regime, exhaustively: quick halts and short cycles whose
     # snapshot is replaced after steps 1, 3, 7, ... before they close; first
     # from an empty table of known cycles, then again with every cycle known,
-    # when no run may detect a cycle step by step, so each cycling word jumps;
+    # when no run whose cycle starts after its first turn may detect it step
+    # by step, so each such word jumps (no run records its first word, so one
+    # that enters its cycle inside its first chunk may close it there);
     # budgets 2 and 3 take their first snapshot at steps 0 and 1
     short = words_up_to(12)
+    shapes = cycle_shapes(short)
+    remember, detected = core._remember, []
 
     def detected_again(word, period):
-        raise AssertionError(f"cycle of {word} detected step by step")
+        detected.append(word)
+        return remember(word, period)
 
     for budget in (1, 2, 3, 5, 37, 2000):
         forget_table()
@@ -313,7 +318,10 @@ def test_run_agrees_with_reference_run_on_every_short_word(monkeypatch):
         assert known_rings() or budget < 7
         with monkeypatch.context() as patch:
             patch.setattr(core, "_remember", detected_again)
-            assert [run(word, budget=budget) for word in short] == expected
+            for word, outcome in zip(short, expected):
+                detected.clear()
+                assert run(word, budget=budget) == outcome
+                assert not detected or shapes[word][0] < min(len(word) // 3, budget), word
 
 
 def test_expand_matches_productions_on_every_short_word():
@@ -759,15 +767,93 @@ def test_enter_on_long_words(word, chunks, last, step, past, spare, offset):
 
 
 def test_a_word_learned_off_the_cycle_is_not_reached_from_it():
-    # 100100100 is learned as a word some steps before its cycle, so it is in
-    # the table with that ring; a run from the ring with it as target cycles
+    # the word at step 3 of the run from 100100100, its second turn, is learned
+    # as a word some steps before its cycle, so it is in the table with that
+    # ring; a run from the ring with it as target cycles (no turn of any run
+    # starts on 100100100 itself: only 0ab1001001 step onto it, inside their
+    # first turn of three steps)
+    learned = orbit_word("100100100", 3)
     run("100100100", budget=1000)
-    ring, _, dist = core._TABLE[9]["100100100"]
+    ring, _, dist = core._TABLE[len(learned)][learned]
     assert ring is not None and dist
     for member in ring:
-        outcome = run(member, budget=1000, target="100100100")
+        outcome = run(member, budget=1000, target=learned)
         assert outcome.kind is OutcomeKind.CYCLED
-        assert outcome == reference_run(member, budget=1000, target="100100100")
+        assert outcome == reference_run(member, budget=1000, target=learned)
+
+
+def test_a_run_records_no_entry_for_its_first_word():
+    # a run with no target, each from an empty table, publishes its turn words
+    # after the first and before its halt or the step mu where it enters the
+    # cycle it stores, but not its first word, which the table holds only as
+    # a word of that cycle: 100100100 and orbit-like words
+    learned = 0
+    for word in ["100100100", *orbit_like_words(3, 200)]:
+        forget_table()
+        outcome = run(word, budget=2047)
+        entry = core._TABLE.get(len(word), {}).get(word)
+        assert entry is None or entry[0] is not None and not entry[2], word
+        if outcome.kind is OutcomeKind.HALTED:
+            mu = outcome.steps_taken
+        elif outcome.kind is OutcomeKind.CYCLED and outcome.final in core._TABLE[len(outcome.final)]:
+            mu = hash_trace(word)[0]
+        else:
+            continue
+        later = [orbit_word(word, s) for s in turn_starts(word, mu) if 0 < s < mu]
+        later = [turn for turn in later if len(turn) <= core._LEARN]
+        assert all(turn in core._TABLE[len(turn)] for turn in later), word
+        learned += len(later)
+    assert learned > 100
+
+
+@st.composite
+def outcome_cases(draw):
+    """A word of 0-400 symbols, a budget, and a target on its orbit, random or none."""
+    word = draw(st.integers(0, 400).flatmap(
+        lambda n: st.text(alphabet="01", min_size=n, max_size=n)))
+    budget = draw(st.integers(1, 5000))
+    kind = draw(st.sampled_from(["orbit", "random", "none"]))
+    if kind == "orbit":
+        return word, budget, orbit_word(word, draw(st.integers(0, budget + 1)))
+    return word, budget, draw(st.text(alphabet="01", max_size=80)) if kind == "random" else None
+
+
+@given(outcome_cases(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_every_outcome_passes_the_public_constructor(case, warm):
+    # _jump builds outcomes past RunOutcome's checking __new__, so each must be
+    # one that the public constructor accepts as it is; from an empty table,
+    # or one warmed by orbit-like words and the same word with no target
+    word, budget, target = case
+    forget_table()
+    if warm:
+        for other in [*orbit_like_words(budget, 20), word]:
+            run(other, budget=budget)
+    outcome = run(word, budget=budget, target=target)
+    assert type(outcome) is RunOutcome and RunOutcome(*outcome) == outcome
+
+
+# Budgets on each side of the snapshot steps 1023, 2047 and 4095 and of the
+# ends 2046 and 4094 of the windows that the snapshots at 1023 and 2047 open.
+QUIET_BUDGETS = [*range(1022, 1026), *range(2046, 2050), *range(4094, 4098)]
+
+
+@given(st.integers(100, 400).flatmap(lambda n: st.text(alphabet="01", min_size=n, max_size=n))
+       | st.tuples(st.text(alphabet="01", min_size=1, max_size=7), st.integers(100, 400)).map(
+           lambda case: (case[0] * 400)[:case[1]]))
+@settings(max_examples=30, deadline=None)
+def test_quiet_turns_on_long_words_agree_with_reference_run(word):
+    # a turn with no snapshot step and the snapshot's length out of reach
+    # searches no window: long random or periodic words, at budgets around
+    # snapshot steps and window ends, each from an empty table, then again
+    # on the table that the runs before it left
+    expected = [reference_run(word, budget=budget) for budget in QUIET_BUDGETS]
+    cold = []
+    for budget in QUIET_BUDGETS:
+        forget_table()
+        cold.append(run(word, budget=budget))
+    assert cold == expected
+    assert [run(word, budget=budget) for budget in QUIET_BUDGETS] == expected
 
 
 def test_a_run_with_a_target_does_not_read_the_table():
