@@ -19,7 +19,7 @@ def length_residue(word: str) -> int:
 
 def cut(word: str, offset: int) -> str:
     """Remove the first ``offset`` symbols; ``offset`` must be a reduced residue."""
-    if offset not in (0, 1, 2):
+    if type(offset) is not int or offset not in (0, 1, 2):
         raise ValueError(f"cut offset must be 0, 1 or 2, got {offset!r}")
     if len(word) < offset:
         raise WordTooShort(f"cannot cut {offset} symbols from length {len(word)}")

@@ -8,9 +8,10 @@ image under a full pass; a chain of 13 steps that closes back onto
 eventually reproduces itself with one extra left and right factor, hence
 grows without bound.
 
-Each step records six recomputable side conditions.  Certificates serialize
-to a line-oriented key/value document, which ``certificate_problems``
-re-checks.
+A chain holds each stage once, as its document does: the seed, then each
+step's derived quadruplet, cut offset y and six recomputable side conditions.
+``certificate_problems`` re-checks a chain, built in Python or parsed from
+its line-oriented key/value document.
 """
 
 from __future__ import annotations
@@ -44,8 +45,7 @@ class Quadruplet(namedtuple("Quadruplet", "left mid right offset")):
             check_word(word)
             if len(word) < 4:
                 raise ValueError("quadruplet words need at least four symbols")
-        if self.offset not in (0, 1, 2):
-            raise ValueError(f"cut offset must be 0, 1 or 2, got {self.offset!r}")
+        cut(self.left, self.offset)  # rejects any offset but the ints 0, 1 and 2
         return self
 
 
@@ -55,12 +55,17 @@ class StepChecks(namedtuple("StepChecks", CHECK_NAMES)):
     __slots__ = ()
 
 
-class StepCertificate(namedtuple("StepCertificate", "source derived y checks")):
+class StepCertificate(namedtuple("StepCertificate", "derived y checks")):
     __slots__ = ()
 
 
-class ChainCertificate(namedtuple("ChainCertificate", "quadruplets step_certificates closure_ok")):
+class ChainCertificate(namedtuple("ChainCertificate", "seed step_certificates closure_ok")):
     __slots__ = ()
+
+    @property
+    def quadruplets(self) -> tuple[Quadruplet, ...]:
+        """Every stage: the seed, then each step's derived quadruplet."""
+        return (self.seed, *(step.derived for step in self.step_certificates))
 
     @property
     def valid(self) -> bool:
@@ -103,7 +108,7 @@ def derive_next(source: Quadruplet) -> StepCertificate:
         pass_output(cut(source.right, y)),
         y,
     )
-    return StepCertificate(source, derived, y, recompute_checks(source, derived))
+    return StepCertificate(derived, y, recompute_checks(source, derived))
 
 
 def closure_target(seed: Quadruplet) -> Quadruplet:
@@ -112,14 +117,11 @@ def closure_target(seed: Quadruplet) -> Quadruplet:
 
 def verify_chain(seed: Quadruplet) -> ChainCertificate:
     """Derive CHAIN_STEPS times from ``seed`` and test closure onto the grown seed."""
-    quadruplets = [seed]
-    certificates = []
+    steps, stage = [], seed
     for _ in range(CHAIN_STEPS):
-        certificate = derive_next(quadruplets[-1])
-        certificates.append(certificate)
-        quadruplets.append(certificate.derived)
-    closure_ok = quadruplets[-1] == closure_target(seed)
-    return ChainCertificate(tuple(quadruplets), tuple(certificates), closure_ok)
+        steps.append(derive_next(stage))
+        stage = steps[-1].derived
+    return ChainCertificate(seed, tuple(steps), stage == closure_target(seed))
 
 
 def instantiate(q: Quadruplet, n: int, m: int) -> str:
@@ -131,10 +133,7 @@ def instantiate(q: Quadruplet, n: int, m: int) -> str:
 
 def total_pass_iterations(chain: ChainCertificate, n: int = 0, m: int = 0) -> int:
     """Tag iterations one simulation spends tracing the whole chain at (n, m)."""
-    return sum(
-        -(-len(instantiate(cert.source, n, m)) // 3)
-        for cert in chain.step_certificates
-    )
+    return sum(-(-len(instantiate(q, n, m)) // 3) for q in chain.quadruplets[:-1])
 
 
 def direct_growth_check(n: int, m: int, budget: int = 200_000) -> RunOutcome:
@@ -149,14 +148,15 @@ def direct_growth_check(n: int, m: int, budget: int = 200_000) -> RunOutcome:
 def certificate_problems(chain: ChainCertificate) -> list[str]:
     """Every failed or inconsistent condition in the certificate, empty if sound.
 
-    Besides each step's conditions and closure, the chain must start at the
-    paper's seed and take CHAIN_STEPS steps: closure alone would also accept
-    a chain for another family.  A step whose conditions hold is fixed by its
-    source, so such a chain is the genuine one stage for stage.
+    Step i's conditions are recomputed from stage i - 1, and the chain must
+    start at the paper's seed and take CHAIN_STEPS steps: closure alone would
+    also accept a chain for another family.  So a chain with no problems,
+    built in Python or parsed, is the genuine one stage for stage.
     """
     problems = []
+    stages = chain.quadruplets
     for i, cert in enumerate(chain.step_certificates, start=1):
-        expected = recompute_checks(cert.source, cert.derived)
+        expected = recompute_checks(stages[i - 1], cert.derived)
         for name, stored, actual in zip(CHECK_NAMES, cert.checks, expected):
             if stored != actual:
                 problems.append(
@@ -166,13 +166,12 @@ def certificate_problems(chain: ChainCertificate) -> list[str]:
                 problems.append(f"step.{i}.checks.{name}: fail")
         if cert.y != cert.derived.offset:
             problems.append(f"step.{i}.y: does not match the derived cut offset")
-    seed = chain.quadruplets[0]
-    closure_actual = chain.quadruplets[-1] == closure_target(seed)
+    closure_actual = stages[-1] == closure_target(chain.seed)
     if chain.closure_ok != closure_actual:
         problems.append("closure_ok: stored flag disagrees with recomputation")
     elif not closure_actual:
         problems.append("closure_ok: fail")
-    if seed != seed_quadruplet() or len(chain.step_certificates) != CHAIN_STEPS:
+    if chain.seed != seed_quadruplet() or len(chain.step_certificates) != CHAIN_STEPS:
         problems.append(f"seed: not the {CHAIN_STEPS}-step chain from (A, B, C, 0)")
     return problems
 
@@ -181,7 +180,7 @@ def render_certificate(chain: ChainCertificate) -> str:
     """Serialize a chain certificate to the line-oriented document format."""
     lines = [
         f"version: {DOCUMENT_VERSION}",
-        *_quadruplet_lines("seed", chain.quadruplets[0]),
+        *_quadruplet_lines("seed", chain.seed),
         f"steps: {len(chain.step_certificates)}",
     ]
     for i, cert in enumerate(chain.step_certificates, start=1):
@@ -232,7 +231,7 @@ def parse_certificate(text: str) -> ChainCertificate:
         data[key] = value
     if _entry(data, "version") != DOCUMENT_VERSION:
         raise ValueError(f"unsupported certificate version {data['version']!r}")
-    quadruplets = [_quadruplet(data, "seed")]
+    seed = _quadruplet(data, "seed")
     steps = int(_entry(data, "steps"))
     if steps < 0:
         raise ValueError(f"steps must not be negative, got {steps}")
@@ -242,11 +241,9 @@ def parse_certificate(text: str) -> ChainCertificate:
         checks = StepChecks(
             **{name: _flag(data, f"step.{i}.checks.{name}") for name in CHECK_NAMES}
         )
-        derived = _quadruplet(data, f"step.{i}.derived")
-        certificates.append(StepCertificate(quadruplets[-1], derived, y, checks))
-        quadruplets.append(derived)
+        certificates.append(StepCertificate(_quadruplet(data, f"step.{i}.derived"), y, checks))
     closure_ok = _flag(data, "closure_ok", ("true", "false"))
     expected_keys = 7 + 11 * steps
     if len(data) != expected_keys:
         raise ValueError(f"certificate has {len(data)} entries, expected {expected_keys}")
-    return ChainCertificate(tuple(quadruplets), tuple(certificates), closure_ok)
+    return ChainCertificate(seed, tuple(certificates), closure_ok)

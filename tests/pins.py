@@ -124,9 +124,17 @@ def _problem(argv, code, out, pinned_code, pinned_out):
     return None
 
 
+def _step_lines(text, i):
+    """The document lines of step ``i``, which stand together."""
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if line.startswith(f"step.{i}."))
+
+
 def round_trip_problems(run):
     """``--emit`` writes the pinned certificate, ``--check`` accepts the file,
-    and rejects it with exit code 3 once its closure_ok line reads false."""
+    and rejects it with exit code 3 once its closure_ok line reads false, or
+    once step 2's lines are step 1's renumbered, a step that does not follow
+    from the one before it."""
     with tempfile.TemporaryDirectory() as tmp:
         emitted, tampered = Path(tmp, "certificate.txt"), Path(tmp, "tampered.txt")
         found = [_problem(argv, *run(argv), 0, "certificate ok\n")
@@ -136,9 +144,12 @@ def round_trip_problems(run):
         if _sha256(text) != CERTIFICATE:
             found.append(f"taglab verify-omega --emit: file sha256 {_sha256(text)},"
                          f" pinned {CERTIFICATE}")
-        tampered.write_text(text.replace("\nclosure_ok: true\n", "\nclosure_ok: false\n"))
-        argv = ["verify-omega", "--check", str(tampered)]
-        found.append(_problem(argv, *run(argv), 3, "certificate FAILED\n"))
+        repeated = _step_lines(text, 1).replace("step.1.", "step.2.")
+        for edited in (text.replace("\nclosure_ok: true\n", "\nclosure_ok: false\n"),
+                       text.replace(_step_lines(text, 2), repeated)):
+            tampered.write_text(edited)
+            argv = ["verify-omega", "--check", str(tampered)]
+            found.append(_problem(argv, *run(argv), 3, "certificate FAILED\n"))
     return [line for line in found if line]
 
 

@@ -44,6 +44,15 @@ def test_quadruplet_validation():
         Quadruplet("000a", "0000", "0000", 0)
 
 
+@pytest.mark.parametrize("offset", [False, True, 1.0, "1"])
+def test_offsets_are_the_ints_0_1_and_2(offset):
+    # a bool offset would render as "seed.x: False", which no document parses
+    with pytest.raises(ValueError, match=f"^cut offset must be 0, 1 or 2, got {offset!r}$"):
+        cut("0000", offset)
+    with pytest.raises(ValueError, match=f"^cut offset must be 0, 1 or 2, got {offset!r}$"):
+        Quadruplet(words.A, words.B, words.C, offset)
+
+
 def test_first_derivation_offset(chain):
     first = derive_next(seed_quadruplet())
     assert first.derived.offset == 1
@@ -72,6 +81,26 @@ def test_one_failed_check_fails_the_step(chain, failing):
     assert certificate_problems(forged) == [
         f"step.1.checks.{CHECK_NAMES[failing]}: stored flag disagrees with recomputation"]
     assert not forged.valid
+
+
+def test_unlinked_chains_are_not_valid(chain):
+    # each step is recomputed from the stage before it: a step that is honest
+    # on its own but does not follow from the previous stage fails its checks
+    first = chain.step_certificates[0]
+    repeated = chain._replace(step_certificates=(first,) * CHAIN_STEPS)
+    assert all(all(step.checks) for step in repeated.step_certificates)
+    assert "step.2.checks.d_ok: stored flag disagrees with recomputation" in (
+        certificate_problems(repeated))
+    assert not repeated.valid
+    other = verify_chain(Quadruplet(words.A, words.A + words.B + words.C, words.C, 0))
+    steps = list(chain.step_certificates)
+    steps[6] = other.step_certificates[6]
+    assert steps[6] != chain.step_certificates[6] and all(steps[6].checks)
+    swapped = chain._replace(step_certificates=tuple(steps))
+    problems = certificate_problems(swapped)
+    assert "step.7.checks.e_ok: stored flag disagrees with recomputation" in problems
+    assert "step.8.checks.e_ok: stored flag disagrees with recomputation" in problems
+    assert not swapped.valid
 
 
 def test_forged_derived_word_with_passing_flags_is_not_valid(chain):
@@ -124,10 +153,10 @@ def test_flipped_symbol_in_a_constant_fails_its_checksum(monkeypatch):
 
 def test_step_soundness_against_simulation(chain):
     # every certificate commutes with direct simulation for small powers
-    for cert in chain.step_certificates:
+    for source, cert in zip(chain.quadruplets, chain.step_certificates):
         for n in range(4):
             for m in range(4):
-                start = instantiate(cert.source, n, m)
+                start = instantiate(source, n, m)
                 expected = instantiate(cert.derived, n, m)
                 assert full_pass_simulated(start) == expected
 
@@ -172,17 +201,16 @@ def test_certificate_problems_pin_the_seed_and_the_step_count(chain):
     assert not other.valid
     assert certificate_problems(other) == [seed_problem]
     # the genuine chain run on for 13 more steps no longer closes
-    quadruplets, certificates = list(chain.quadruplets), list(chain.step_certificates)
+    certificates = list(chain.step_certificates)
     for _ in range(CHAIN_STEPS):
-        certificates.append(derive_next(quadruplets[-1]))
-        quadruplets.append(certificates[-1].derived)
-    longer = ChainCertificate(tuple(quadruplets), tuple(certificates), False)
+        certificates.append(derive_next(certificates[-1].derived))
+    longer = ChainCertificate(chain.seed, tuple(certificates), False)
     assert certificate_problems(longer) == ["closure_ok: fail", seed_problem]
 
 
 def test_zero_step_chain_fails_closure():
     # a document may claim no steps at all: the seed alone is not its grown form
-    chain = ChainCertificate((seed_quadruplet(),), (), False)
+    chain = ChainCertificate(seed_quadruplet(), (), False)
     assert parse_certificate(render_certificate(chain)) == chain
     assert certificate_problems(chain) == [
         "closure_ok: fail", f"seed: not the {CHAIN_STEPS}-step chain from (A, B, C, 0)"]
@@ -253,7 +281,7 @@ def test_recompute_checks_flags_tampering(chain):
         cert.derived.right,
         cert.derived.offset,
     )
-    checks = recompute_checks(cert.source, tampered)
+    checks = recompute_checks(chain.seed, tampered)
     assert not checks.e_ok
     assert checks.d_ok and checks.f_ok
 
@@ -304,10 +332,7 @@ def test_certificate_problems_report_failed_checks(chain):
     step = chain.step_certificates[-1]
     derived = step.derived._replace(left=step.derived.left[::-1])
     step = step._replace(derived=derived, checks=step.checks._replace(d_ok=False))
-    tampered = chain._replace(
-        quadruplets=chain.quadruplets[:-1] + (derived,),
-        step_certificates=chain.step_certificates[:-1] + (step,),
-    )
+    tampered = chain._replace(step_certificates=chain.step_certificates[:-1] + (step,))
     assert "step.13.checks.d_ok: fail" in certificate_problems(tampered)
 
 

@@ -115,7 +115,7 @@ def test_each_wrong_pin_is_one_problem(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(pins, "PINS", [*pins.PINS[:i], edit(*pins.PINS[i]), *pins.PINS[i + 1:]])
             assert len(pins.problems(recorded)) == 1
-    assert len(pins.problems(lambda argv: (-1, ""))) == len(pins.PINS) + 4
+    assert len(pins.problems(lambda argv: (-1, ""))) == len(pins.PINS) + 5
 
 
 def test_no_command_line_is_pinned_twice():

@@ -8,7 +8,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import assume, given, settings, stateful, strategies as st
+from hypothesis import Phase, assume, given, settings, stateful, strategies as st
 
 from taglab import core, words
 from taglab.core import (
@@ -979,8 +979,11 @@ class TableMachine(stateful.RuleBasedStateMachine):
 
 
 def test_runs_sharing_a_table_agree_with_the_step_oracle():
+    # A failing machine is reported as drawn, unshrunk: shrinking its 60-step
+    # programs took 20 s to 2 min per failure, against about 2 s to find one.
     stateful.run_state_machine_as_test(TableMachine, settings=settings(
-        max_examples=20, stateful_step_count=60, deadline=None))
+        max_examples=20, stateful_step_count=60, deadline=None,
+        phases=[phase for phase in Phase if phase is not Phase.shrink]))
 
 
 def test_recording_keeps_to_the_table_room(monkeypatch):

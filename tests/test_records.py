@@ -28,11 +28,11 @@ RECORDS = {
         ("l_a", "l_c", "y_eq", "d_ok", "e_ok", "f_ok"),
     ),
     "StepCertificate": (
-        lambda: derive_next(seed_quadruplet()), "y", ("source", "derived", "y", "checks"),
+        lambda: derive_next(seed_quadruplet()), "y", ("derived", "y", "checks"),
     ),
     "ChainCertificate": (
         lambda: verify_chain(seed_quadruplet()), "closure_ok",
-        ("quadruplets", "step_certificates", "closure_ok"),
+        ("seed", "step_certificates", "closure_ok"),
     ),
     "Provenance": (lambda: Provenance("0"), "extensions", ("seed", "extensions")),
     "ConditionReport": (
