@@ -6,7 +6,8 @@ import sys
 
 from taglab.blocks import _lowerings
 from taglab import cli
-from taglab.core import DEFAULT_PRODUCTION, NotTokenizable, WordTooShort, check_word
+from taglab.core import (DEFAULT_PRODUCTION, NotTokenizable, OutcomeKind, RunOutcome,
+                         WordTooShort, check_word)
 
 # (left word, right word, cut offset) of the 14 stages of the paper's chain,
 # in token form (Z for 00, O for 1101): the expected data that the derived
@@ -41,6 +42,34 @@ def step(word: str) -> str:
     if len(word) < 3:
         raise WordTooShort(f"length {len(word)} < deletion number 3")
     return word[3:] + DEFAULT_PRODUCTION[word[0]]
+
+
+def reference_run(word, *, budget, target=None):
+    """Oracle for ``run``: the same Brent schedule, one ``step`` at a time."""
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    check_word(word)
+    if target is not None:
+        check_word(target)
+    saved = word
+    saved_step = 0
+    window = 1
+    steps = 0
+    while True:
+        if target is not None and word == target:
+            return RunOutcome(OutcomeKind.TARGET_REACHED, steps, word)
+        if len(word) < 3:
+            return RunOutcome(OutcomeKind.HALTED, steps, word)
+        if steps == budget:
+            return RunOutcome(OutcomeKind.BUDGET_EXHAUSTED, steps, word)
+        word = step(word)
+        steps += 1
+        if word == saved:
+            return RunOutcome(OutcomeKind.CYCLED, steps, word, cycle_length=steps - saved_step)
+        if steps - saved_step == window:
+            saved = word
+            saved_step = steps
+            window *= 2
 
 
 def reference_encode(word: str) -> str:

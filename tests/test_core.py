@@ -26,37 +26,9 @@ from taglab.core import (
     run,
 )
 
-from reference import reference_encode, reference_first_match, step
+from reference import reference_encode, reference_first_match, reference_run, step
 
 binary_words = st.text(alphabet="01")
-
-
-def reference_run(word, *, budget, target=None):
-    """Oracle for ``run``: the same Brent schedule, one ``step`` at a time."""
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    check_word(word)
-    if target is not None:
-        check_word(target)
-    saved = word
-    saved_step = 0
-    window = 1
-    steps = 0
-    while True:
-        if target is not None and word == target:
-            return RunOutcome(OutcomeKind.TARGET_REACHED, steps, word)
-        if len(word) < 3:
-            return RunOutcome(OutcomeKind.HALTED, steps, word)
-        if steps == budget:
-            return RunOutcome(OutcomeKind.BUDGET_EXHAUSTED, steps, word)
-        word = step(word)
-        steps += 1
-        if word == saved:
-            return RunOutcome(OutcomeKind.CYCLED, steps, word, cycle_length=steps - saved_step)
-        if steps - saved_step == window:
-            saved = word
-            saved_step = steps
-            window *= 2
 
 
 def orbit_word(word, depth):
@@ -783,10 +755,11 @@ def test_a_word_learned_off_the_cycle_is_not_reached_from_it():
 
 
 def test_a_run_records_no_entry_for_its_first_word():
-    # a run with no target, each from an empty table, publishes its turn words
-    # after the first and before its halt or the step mu where it enters the
-    # cycle it stores, but not its first word, which the table holds only as
-    # a word of that cycle: 100100100 and orbit-like words
+    # a run with no target, each from an empty table (under a quarter full, so
+    # every turn word is published), publishes its turn words after the first
+    # and before its halt or the step mu where it enters the cycle it stores,
+    # but not its first word, which the table holds only as a word of that
+    # cycle: 100100100 and orbit-like words
     learned = 0
     for word in ["100100100", *orbit_like_words(3, 200)]:
         forget_table()
@@ -804,6 +777,52 @@ def test_a_run_records_no_entry_for_its_first_word():
         assert all(turn in core._TABLE[len(turn)] for turn in later), word
         learned += len(later)
     assert learned > 100
+
+
+def test_past_a_quarter_full_a_run_publishes_every_third_turn_word(monkeypatch):
+    # once the table holds a quarter of its symbols, a run's new path entries
+    # are exactly its turn words 1, 4, 7, ... turns back from the last one it
+    # recorded: its turns after the first, before mu and before the first turn
+    # on a known word.  So none is at or after mu, and none is its first word.
+    # Every turn word is learned here, and the room stays over half free, more
+    # than any of these runs records.
+    monkeypatch.setattr(core, "_TABLE_SYMBOLS", 1 << 17)
+    monkeypatch.setattr(core, "_LEARN", 1 << 30)
+    warm = iter(orbit_like_words(5, 1000))
+    while 4 * core._held < core._TABLE_SYMBOLS:
+        run(next(warm), budget=2047)
+    sparse = 0
+    for word in orbit_like_words(6, 200):
+        known = {entry for entry, _ in table_entries()}
+        outcome = run(word, budget=2047)
+        new = {entry for entry, (_, _, dist) in table_entries() if dist and entry not in known}
+        if outcome.kind is OutcomeKind.HALTED:
+            mu = outcome.steps_taken
+        elif outcome.kind is OutcomeKind.CYCLED:
+            assert outcome.final in core._TABLE[len(outcome.final)]
+            mu = hash_trace(word)[0]
+        else:
+            continue
+        trail, here, at = [], word, 0
+        for start in turn_starts(word, mu):
+            here, at = orbit_word(here, start - at), start
+            if start >= mu or here in known:
+                break
+            if start:
+                trail.append(here)
+        assert new == set(trail[::-3]), word
+        sparse += len(trail) > 3
+    assert 2 * core._held <= core._TABLE_SYMBOLS and sparse > 20
+
+
+def test_a_list_run_past_a_quarter_full_agrees_with_reference_run():
+    # one list of orbit-like words, in order on one table as the orbits
+    # benchmark runs them, fills the table past a quarter of its symbols, so
+    # its later runs read sparse trails: every outcome is the step oracle's
+    words = orbit_like_words(11, 1500)
+    assert [run(word, budget=20000) for word in words] == [
+        reference_run(word, budget=20000) for word in words]
+    assert 4 * core._held >= core._TABLE_SYMBOLS
 
 
 @st.composite
@@ -880,7 +899,9 @@ def fate_marks(word, limit=20000):
 
 class TableMachine(stateful.RuleBasedStateMachine):
     """Runs that share one table of known futures, under bounds drawn at the start;
-    each entry is checked by the step oracle when it appears, and never changes after."""
+    each entry is checked by the step oracle when it appears, and never changes after.
+    A 600-symbol table passes a quarter full within a few runs, so the sparse trails
+    published from there on are checked too."""
 
     budget = 2047  # of warm runs and fates: the least whose first snapshot compared is at 1023
     oracle = staticmethod(functools.cache(reference_run))  # the machine's runs recur often
