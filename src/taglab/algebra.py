@@ -7,8 +7,6 @@ residue, ``cut(pass_output(w), (-len(w)) % 3)``.  That identity is checked
 against a step-by-step pass in ``tests/``.
 """
 
-from __future__ import annotations
-
 from taglab.core import WordTooShort, _expand, check_word
 
 

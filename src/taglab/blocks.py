@@ -12,8 +12,6 @@ is a candidate scaffold for a periodic tag evolution, which is what the
 bounded search at the bottom of this module looks for.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 from collections import deque, namedtuple

@@ -14,8 +14,6 @@ step's derived quadruplet, cut offset y and six recomputable side conditions.
 its line-oriented key/value document.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from taglab import words

@@ -1,7 +1,5 @@
 """Command-line front door: ``ABOUT`` and ``COMMANDS`` describe the ``taglab`` command."""
 
-from __future__ import annotations
-
 import os
 import sys
 from types import SimpleNamespace
@@ -165,8 +163,9 @@ COMMANDS = {
         ("--seed-x {0,1,2}", _seed_offset, None, False, "override the seed cut offset"),
         ("--flip-a INDEX", int, None, False, "flip one symbol of the seed's left word")]),
     "blockset": ("list the converting set of a row word", _cmd_blockset, [("word", str, "")], []),
+    # all initial blocks are built before the budget counts: 48/121/306 MB at 10/11/12 rows
     "block-search": ("search for qualifying building blocks", _cmd_block_search, [
-        ("max_rows", _positive, ""), ("budget", _positive, ""), ("threads", _positive,
+        ("max_rows", _int_within(1, 12), ""), ("budget", _positive, ""), ("threads", _positive,
          "worker count, at least 1; accepted, but the search is single-threaded")], [
         ("--max-suffix MAX_SUFFIX", _positive, 4, False, ""),
         ("--out PATH", str, None, False, "write the result document here")]),
@@ -230,16 +229,17 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
 def main(argv=None) -> int:
     """Run one command line, catching every input error here and only here.
 
-    A handler raises OSError or ValueError on a missing, unreadable or non-ASCII
-    file or a word outside its alphabet; that ends as one ``error:`` line, EXIT_INPUT.
+    OSError or ValueError (a missing, unreadable or non-ASCII file, a word outside its
+    alphabet) and MemoryError (an input too large) end as one ``error:`` line, EXIT_INPUT.
     """
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return COMMANDS[args.command][1](args)
     except BrokenPipeError:
         raise  # app() ends the process quietly
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, MemoryError) as exc:
+        # a MemoryError usually has no message: name its type instead
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_INPUT
 
 

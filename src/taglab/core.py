@@ -11,10 +11,10 @@ byte code in C loops over bytes (``_expand``).  The chunk is then one string,
 at ``3*j``; its every-third-symbol view holds step ``j`` at index ``j``.
 Target and cycle detection search that view for the other word's
 every-third-symbol prefix with ``str.find``, so every hit is a step, and
-accept a hit whose running length (each sampled symbol changes it by
-``len(production) - 3``: -1 for a 0, +1 for a 1) equals the other word's and
-where the chunk holds the whole word, which keeps detection exact.  Each
-chunk takes len/3 steps, or the budget's rest, across cycle snapshot steps.
+accept a hit whose running length (each sampled symbol changes it by exactly
+one: -1 for a 0, +1 for a 1) equals the other word's and where the chunk holds
+the whole word, which keeps detection exact.  Each chunk takes len/3 steps, or
+the budget's rest, across cycle snapshot steps.
 
 Cycle snapshots are taken at the steps 2^e - 1, and a cycle entered at step mu
 is first seen to close at D = 2^max(bitlen mu, bitlen(period - 1)) - 1 +
@@ -29,8 +29,6 @@ up to ``_TABLE_SYMBOLS`` symbols and never evicts: detected cycles and those
 runs' turn words after the first, from a quarter full only every third back from
 mu (``_STRIDE``).  No result depends on what ran before.
 """
-
-from __future__ import annotations
 
 import enum
 from binascii import hexlify
@@ -58,12 +56,10 @@ def check_word(word: str) -> str:
 DEFAULT_PRODUCTION = MappingProxyType({"0": "00", "1": "1101"})
 
 _ZERO, _ONE = DEFAULT_PRODUCTION["0"], DEFAULT_PRODUCTION["1"]
-# Length change per sampled symbol, and its largest size.
-_DELTAS = {symbol: len(production) - 3 for symbol, production in DEFAULT_PRODUCTION.items()}
-_SPREAD = max(map(abs, _DELTAS.values()))
-# What each sampled 0 changes, and each sampled 1 adds beyond a sampled 0.
-_ZERO_DELTA = _DELTAS["0"]
-_ONE_EXTRA = _DELTAS["1"] - _ZERO_DELTA
+# A sampled 0's length change, and a 1's beyond it: a step changes the length by exactly
+# one, so k steps reach only lengths within k, and one off by d is d or more steps away.
+_ZERO_DELTA = len(_ZERO) - 3
+_ONE_EXTRA = len(_ONE) - len(_ZERO)
 # _expand's byte code, which encodes DEFAULT_PRODUCTION and must change with it.
 _BYTE = bytes.maketrans(b"01", b"\x00\xa1")
 _HEX = bytes.maketrans(b"63", b"10")
@@ -108,17 +104,16 @@ _PREFIX = 32
 def _first_match(full, view, size, other, needle, hi, j):
     """The first step in j..hi at which the chunk ``full`` passes through ``other``.
 
-    ``full`` is the chunk's word of ``size`` symbols followed by the expansion
-    of its sampled symbols, so the word after ``j`` steps is
-    ``full[3*j:3*j + L]`` with ``L = size + j*Δ0 + ones*(Δ1 - Δ0)``, where
-    ``Δ`` is ``_DELTAS`` and ``ones`` counts the 1s among the first ``j``
-    sampled symbols.  ``view`` is ``full[0:3*(hi + _PREFIX):3]`` or longer:
-    its first symbols are the sampled ones, and step ``j`` sits at its index
-    ``j``.  Candidates are the steps where ``view`` holds ``needle``, the
-    prefix ``other[0:3*_PREFIX:3]``, from ``j``, the first that the caller's
-    ``find`` sees; one matches when ``L == len(other)`` and ``other`` starts
-    there in ``full``.  A length that is off by ``d`` rules out the next
-    ``d // _SPREAD - 1`` steps too.  Returns the step, or ``None``.
+    ``full`` is the chunk's word of ``size`` symbols followed by the expansion of its
+    sampled symbols, so the word after ``j`` steps is ``full[3*j:3*j + L]`` with
+    ``L = size + j*_ZERO_DELTA + ones*_ONE_EXTRA``, where ``ones`` counts the 1s among the
+    first ``j`` sampled symbols.  ``view`` is ``full[0:3*(hi + _PREFIX):3]`` or longer:
+    its first symbols are the sampled ones, and step ``j`` sits at its index ``j``.
+    Candidates are the steps where ``view`` holds ``needle``, the prefix
+    ``other[0:3*_PREFIX:3]``, from ``j``, the first that the caller's ``find`` sees; one
+    matches when ``L == len(other)`` and ``other`` starts there in ``full``.  A length
+    that is off by ``d`` rules out the next ``d - 1`` steps too.  Returns the step, or
+    ``None``.
     """
     goal = len(other)
     end = hi + len(needle)
@@ -129,7 +124,7 @@ def _first_match(full, view, size, other, needle, hi, j):
         gap = abs(size + j * _ZERO_DELTA + ones * _ONE_EXTRA - goal)
         if not gap and full.startswith(other, 3 * j):
             return j
-        j = view.find(needle, j + max(1, gap // _SPREAD), end)
+        j = view.find(needle, j + max(1, gap), end)
     return None
 
 
@@ -246,12 +241,14 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
         target_needle = target[0:3 * _PREFIX:3]
     target_size = -1 if target is None else len(target)
     trail = []
+    # room is charged per recorded word though past the gate only every _STRIDE-th is
+    # published: charging per published word took 149 293 turns on orbit lists 4-7, not 149 086
     table, room = ({}, -1) if target is not None else (_TABLE, _TABLE_SYMBOLS - _held)
     # The first snapshot is at step lazy, the largest 2^e - 1 up to _LAZY whose window ends
     # within the budget; an impossible length keeps earlier ones from being compared.
     lazy = min(_LAZY, (1 << (budget + 1).bit_length() - 2) - 1)
     origin = last = word
-    saved_size = -budget * _SPREAD
+    saved_size = -budget
     refresh, steps, k = lazy, 0, 0
     while True:
         size = len(word)
@@ -274,14 +271,13 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
             k = budget - steps
         sampled = word[0:3 * k:3]
         full = word + _expand(sampled)
-        reach = k * _SPREAD
         # The sampled symbols are the view's first k; the needles reach at
         # most _PREFIX symbols past the last step.  Built at the first search.
         view = None
         # The target check after the chunk's last step opens the next turn.
         # A target found here always precedes a repeat: every word after
         # the snapshot repeats one that was already compared with it.
-        if target is not None and -reach <= size - target_size <= reach:
+        if target is not None and -k <= size - target_size <= k:
             view = sampled + full[3 * k:3 * (k + _PREFIX):3]
             j = view.find(target_needle, 1, k - 1 + len(target_needle))
             if j >= 0 and (j := _first_match(full, view, size, target, target_needle,
@@ -290,7 +286,7 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
         # Steps lo + 1..hi race the snapshot, which the word at a snapshot step hi replaces,
         # its length counted from the 1s before it.  A quiet turn holds no snapshot step
         # and is not near the snapshot's length, so it searches no window.
-        near = -reach <= size - saved_size <= reach
+        near = -k <= size - saved_size <= k
         hi = 0 if near or refresh <= steps + k else k
         while hi < k:
             lo, hi = hi, refresh - steps if refresh < steps + k else k
@@ -307,7 +303,7 @@ def run(word: str, *, budget: int, target: str | None = None) -> RunOutcome:
                 saved = full[3 * hi:3 * hi + saved_size]
                 saved_needle = saved[0:3 * _PREFIX:3]
                 refresh = 2 * refresh + 1
-                near = -reach <= size - saved_size <= reach
+                near = -k <= size - saved_size <= k
         last, word = word, full[3 * k:]
         steps += k
 

@@ -101,6 +101,8 @@ PINS = [
     (["block-search", "4", "2000", "1", "--max-suffix", "3"], 0, CENSUSES[4, 2000, 3]),
     (["block-search", "4", "2000", "1"], 0, CENSUSES[4, 2000, 4]),
     (["block-search", "5", "20000", "1"], 0, CENSUSES[5, 20000, 4]),
+    # one row past the bound, whose initial blocks alone would not fit in memory
+    (["block-search", "13", "1", "1"], 1, ""),
     (["verify-theorem", "2", "2", "200000"], 0, GRID),
     # a cell whose target lies past the budget
     (["verify-theorem", "0", "0", "1"], 2, "n=0: -\n"),

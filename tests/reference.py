@@ -210,7 +210,7 @@ def reference_parser() -> _Parser:
     p.set_defaults(func=cli._cmd_blockset)
 
     p = sub.add_parser("block-search", help="search for qualifying building blocks")
-    p.add_argument("max_rows", type=cli._positive)
+    p.add_argument("max_rows", type=cli._int_within(1, 12))
     p.add_argument("budget", type=cli._positive)
     p.add_argument("threads", type=cli._positive,
                    help="worker count, at least 1; accepted, but the search is single-threaded")

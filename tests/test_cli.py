@@ -384,6 +384,17 @@ def test_an_error_inside_a_handler_ends_as_one_error_line(monkeypatch, capsys):
     assert (code, out, err) == (1, "", "error: boom\n")
 
 
+def test_running_out_of_memory_in_a_handler_ends_as_one_error_line(monkeypatch, capsys):
+    from taglab import blocks
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(blocks, "converting_set", exhausted)
+    code, out, err = run_cli(capsys, "blockset", "0")
+    assert (code, out, err) == (1, "", "error: MemoryError\n")
+
+
 def test_decode_rejects_untokenizable_word(capsys):
     code, _, err = run_cli(capsys, "decode", "010")
     assert code == 1
@@ -425,7 +436,9 @@ def cli_argv(draw, missing):
         options = [("--emit", paths), ("--check", paths), ("--seed-x", small_ints),
                    ("--flip-a", st.integers(-1, 20).map(str))]
     elif command == "block-search":
-        positionals = [small_ints, st.integers(-1, 20).map(str), small_ints]
+        # 13 rows, one past the bound, is rejected before any block is built
+        positionals = [st.one_of(small_ints, st.just("13")), st.integers(-1, 20).map(str),
+                       small_ints]
         options = [("--max-suffix", small_ints), ("--out", paths)]
     else:
         positionals = [word_args]
@@ -510,7 +523,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Modules whose import costs start-up time that no subcommand needs: the
 # argparse parser alone loaded argparse, gettext and, through it, locale.
-UNNEEDED = ("dataclasses", "pathlib", "typing", "_hashlib", "argparse", "gettext", "locale")
+# __future__ too: every annotation evaluates as written on Python 3.10 and later.
+UNNEEDED = ("dataclasses", "pathlib", "typing", "_hashlib", "argparse", "gettext", "locale",
+            "__future__")
 
 # Run in a fresh interpreter without site, so that only the modules the code
 # under test imports are loaded; prints the exit code, the loaded modules of
